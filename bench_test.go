@@ -264,25 +264,32 @@ func BenchmarkAblationSampling(b *testing.B) {
 }
 
 // BenchmarkAblationSortedScan measures the sorted-partition scan route for
-// exact OC validation against the per-class sort route.
+// exact OC validation against the per-class sort route, on a wide-context
+// shape (Flight 20000×8, where contexts cover most rows) and a deep one
+// (ncvoter 7000×14, 13 levels of contexts that cover few rows, where the
+// scan's O(rows) per candidate loses to sorting the classes).
 func BenchmarkAblationSortedScan(b *testing.B) {
-	tbl := gen.Flight(gen.FlightConfig{Rows: 20000, Attrs: 8, Seed: 42})
-	b.Run("sort", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Discover(tbl, core.Config{Validator: core.ValidatorExact}); err != nil {
-				b.Fatal(err)
-			}
+	for _, w := range []struct {
+		name string
+		tbl  *dataset.Table
+	}{
+		{"flight-20000x8", gen.Flight(gen.FlightConfig{Rows: 20000, Attrs: 8, Seed: 42})},
+		{"ncvoter-7000x14", gen.NCVoter(gen.NCVoterConfig{Rows: 7000, Attrs: 14, Seed: 42})},
+	} {
+		for _, route := range []struct {
+			name string
+			scan bool
+		}{{"sort", false}, {"scan", true}} {
+			b.Run(w.name+"/"+route.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.Discover(w.tbl, core.Config{Validator: core.ValidatorExact, UseSortedScan: route.scan}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Discover(tbl, core.Config{Validator: core.ValidatorExact, UseSortedScan: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkParallelWorkers measures the level-parallel engine (the

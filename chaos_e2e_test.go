@@ -273,6 +273,22 @@ func TestAODServerDrainE2E(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// The signal is handled asynchronously: a submit sent the moment
+	// Signal returns can reach the server before its handler flips it to
+	// draining. Wait for the readiness probe to report the drain first.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatalf("healthz after SIGTERM: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/healthz still %d 10s after SIGTERM, want 503 (draining)", resp.StatusCode)
+		}
+	}
 
 	// New work is refused while the admitted job drains.
 	resp, err = http.Post(base+"/jobs", "application/json", strings.NewReader(body))

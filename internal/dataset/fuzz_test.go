@@ -16,15 +16,15 @@ import (
 func FuzzReadCSV(f *testing.F) {
 	for _, seed := range []string{
 		"a,b\n1,2\n3,4\n",
-		"a,b\n1,2\n3\n",              // ragged row
-		"a,\"b\n1,2\n",               // unterminated quote
-		"\"a\"x,b\n1,2\n",            // junk after closing quote
-		"a,a\n1,2\n",                 // duplicate header names
-		"a,b\nNaN,+Inf\n-0,1e309\n",  // float specials and overflow
-		"a\n\n\n",                    // empty fields
-		",\n,\n",                     // empty names and fields
-		"a,b\r\n1,2\r\n",             // CRLF endings
-		"a\n\"x\r\r\ny\"\n\"z\"\n",   // \r\r\n inside quotes: folds to \r\n
+		"a,b\n1,2\n3\n",             // ragged row
+		"a,\"b\n1,2\n",              // unterminated quote
+		"\"a\"x,b\n1,2\n",           // junk after closing quote
+		"a,a\n1,2\n",                // duplicate header names
+		"a,b\nNaN,+Inf\n-0,1e309\n", // float specials and overflow
+		"a\n\n\n",                   // empty fields
+		",\n,\n",                    // empty names and fields
+		"a,b\r\n1,2\r\n",            // CRLF endings
+		"a\n\"x\r\r\ny\"\n\"z\"\n",  // \r\r\n inside quotes: folds to \r\n
 		"h," + strings.Repeat("x", 1<<13) + "\n1,2\n", // huge header field
 	} {
 		f.Add([]byte(seed))

@@ -188,6 +188,10 @@ func TestQueueShedBounds(t *testing.T) {
 		MaxQueueAge:   maxAge,
 		ProbeInterval: time.Hour,
 	})
+	// The first probe fires at once and would overwrite the queue ages set
+	// below: stop the probers (Close waits for them) before setting state.
+	rt.Close()
+	rt.replicas[0].up.Store(true)
 	for _, age := range []time.Duration{
 		maxAge + time.Millisecond, 5 * time.Second, 42 * time.Second, 10 * time.Minute,
 	} {

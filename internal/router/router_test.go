@@ -53,8 +53,15 @@ func newTestRouter(t *testing.T, cfg Config) *Router {
 func TestRendezvousStability(t *testing.T) {
 	rt := newTestRouter(t, Config{
 		Replicas:      []string{"http://a:1", "http://b:1", "http://c:1"},
-		ProbeInterval: time.Hour, // keep probes quiet; fake hosts never resolve anyway
+		ProbeInterval: time.Hour,
 	})
+	// Each replica's first probe fires at once whatever the interval, and a
+	// fake host never resolves, so it would mark its replica down mid-test.
+	// Stop the probers (Close waits for them), then bring every replica up.
+	rt.Close()
+	for _, rp := range rt.replicas {
+		rp.up.Store(true)
+	}
 	perHome := make(map[int]int)
 	for i := 0; i < 300; i++ {
 		key := fmt.Sprintf("dataset-%d", i)

@@ -506,9 +506,9 @@ type Stats struct {
 	// commit batches flushed vs writes acknowledged across them.
 	// BatchedWrites > GroupCommits means group commit is engaging under
 	// concurrent write load.
-	GroupCommits  uint64 `json:"groupCommits,omitempty"`
-	BatchedWrites uint64 `json:"batchedWrites,omitempty"`
-	ValidationRuns  uint64 `json:"validationRuns"`
+	GroupCommits   uint64 `json:"groupCommits,omitempty"`
+	BatchedWrites  uint64 `json:"batchedWrites,omitempty"`
+	ValidationRuns uint64 `json:"validationRuns"`
 	// Partition memoization (the cross-job warm path): hits count validation
 	// runs that reused cached prepared partitions, misses count cold
 	// preparations; bytes is the retained cache + shared-arena footprint.

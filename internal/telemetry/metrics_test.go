@@ -15,10 +15,10 @@ func TestBucketBoundaries(t *testing.T) {
 	}{
 		{0, 0},
 		{1, 0},
-		{1024, 0},                     // exactly 2^10 → first bucket (le bound inclusive)
-		{1025, 1},                     // just past → next bucket
-		{2048, 1},                     // 2^11
-		{2049, 2},                     // past 2^11
+		{1024, 0}, // exactly 2^10 → first bucket (le bound inclusive)
+		{1025, 1}, // just past → next bucket
+		{2048, 1}, // 2^11
+		{2049, 2}, // past 2^11
 		{time.Duration(1) << 40, histBuckets - 1}, // last finite bound
 		{time.Duration(1)<<40 + 1, histBuckets},   // overflow
 		{time.Hour, histBuckets},                  // way past → overflow

@@ -153,27 +153,46 @@ func TestOptimalAOCEquivalentToLegacy(t *testing.T) {
 	}
 }
 
-// TestRadixSortCrossesCutoff exercises both sortPairs branches on the same
-// data: classes straddling radixCutoff must produce identical orders.
+// TestRadixSortCrossesCutoff exercises every sort branch on the same data:
+// the sorting path's comparison and radix sorts (either side of radixCutoff)
+// and the count path's insertion sort and digit-skipping radix sort (either
+// side of insertionCutoff) must all produce the stable legacy order — the
+// count path as keys, the sorting path down to the row ids. Keys that
+// differ only in their A bytes (ranks ≥ 256, one B value) leave the radix
+// nothing to do on the B digits.
 func TestRadixSortCrossesCutoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	v := New()
-	for _, m := range []int{radixCutoff - 1, radixCutoff, radixCutoff + 1, 4 * radixCutoff} {
-		cls := make([]int32, m)
-		ra := make([]int32, m)
-		rb := make([]int32, m)
-		for i := range cls {
-			cls[i] = int32(i)
-			ra[i] = int32(rng.Intn(5))
-			rb[i] = int32(rng.Intn(5))
-		}
-		v.sortClass(cls, ra, rb, false, 0)
-		// Must match the stable legacy order exactly (ties row-ascending).
-		sa, sb, sr := legacySortClass(cls, ra, rb, false)
-		for i := 0; i < m; i++ {
-			if v.a[i] != sa[i] || v.b[i] != sb[i] || v.rows[i] != sr[i] {
-				t.Fatalf("m=%d: position %d = (%d,%d,row %d), legacy (%d,%d,row %d)",
-					m, i, v.a[i], v.b[i], v.rows[i], sa[i], sb[i], sr[i])
+	sizes := []int{2, insertionCutoff, insertionCutoff + 1, radixCutoff - 1, radixCutoff, radixCutoff + 1, 4 * radixCutoff}
+	for _, aOnly := range []bool{false, true} {
+		for _, m := range sizes {
+			cls := make([]int32, m)
+			ra := make([]int32, m)
+			rb := make([]int32, m)
+			for i := range cls {
+				cls[i] = int32(i)
+				if aOnly {
+					ra[i] = int32(256*(1+rng.Intn(5)) + rng.Intn(3))
+					rb[i] = 7
+				} else {
+					ra[i] = int32(rng.Intn(5))
+					rb[i] = int32(rng.Intn(5))
+				}
+			}
+			// Must match the stable legacy order exactly (ties row-ascending).
+			sa, sb, sr := legacySortClass(cls, ra, rb, false)
+			v.sortClass(cls, ra, rb, false, 0)
+			for i := 0; i < m; i++ {
+				if v.a[i] != sa[i] || v.b[i] != sb[i] || v.rows[i] != sr[i] {
+					t.Fatalf("aOnly=%v m=%d: position %d = (%d,%d,row %d), legacy (%d,%d,row %d)",
+						aOnly, m, i, v.a[i], v.b[i], v.rows[i], sa[i], sb[i], sr[i])
+				}
+			}
+			for i, k := range v.sortKeys(v.loadKeys(cls, ra, rb)) {
+				if int32(k>>32) != sa[i] || int32(uint32(k)) != sb[i] {
+					t.Fatalf("aOnly=%v m=%d: count-path key %d = (%d,%d), legacy (%d,%d)",
+						aOnly, m, i, int32(k>>32), int32(uint32(k)), sa[i], sb[i])
+				}
 			}
 		}
 	}
@@ -183,24 +202,40 @@ func TestRadixSortCrossesCutoff(t *testing.T) {
 
 // TestValidatorAllocFree pins the steady-state allocation counts of the
 // validation hot path: with warm scratch, OptimalAOC / ExactOC / ApproxOFD
-// must not allocate at all.
+// must not allocate at all — on the one-big-class universe, on the
+// many-small-classes partition discovery mostly feeds them, and on classes
+// of a few dozen rows that take both count-path sorts.
 func TestValidatorAllocFree(t *testing.T) {
 	tbl := gen.CorrelatedPair(20_000, 0.10, 42)
-	ctx := partition.Universe(20_000)
 	ca, cb := tbl.Column(0), tbl.Column(1)
-	v := New()
-	v.OptimalAOC(ctx, ca, cb, Options{Threshold: 0.5}) // warm
-	if n := testing.AllocsPerRun(10, func() {
-		v.OptimalAOC(ctx, ca, cb, Options{Threshold: 0.5})
-	}); n != 0 {
-		t.Errorf("OptimalAOC allocates %.1f times per call in steady state, want 0", n)
+	buckets := make([]int64, 20_000)
+	for i, r := range ca.Ranks() {
+		buckets[i] = int64(r % 1500)
 	}
-	v.ExactOC(ctx, ca, cb)
-	if n := testing.AllocsPerRun(10, func() {
+	bucketed, err := dataset.NewBuilder().AddInts("bucket", buckets).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ctx := range map[string]*partition.Stripped{
+		"universe": partition.Universe(20_000),
+		"classes":  partition.Single(ca),
+		"buckets":  partition.Single(bucketed.Column(0)),
+	} {
+		v := New()
+		v.OptimalAOC(ctx, ca, cb, Options{Threshold: 0.5}) // warm
+		if n := testing.AllocsPerRun(10, func() {
+			v.OptimalAOC(ctx, ca, cb, Options{Threshold: 0.5})
+		}); n != 0 {
+			t.Errorf("OptimalAOC/%s allocates %.1f times per call in steady state, want 0", name, n)
+		}
 		v.ExactOC(ctx, ca, cb)
-	}); n != 0 {
-		t.Errorf("ExactOC allocates %.1f times per call in steady state, want 0", n)
+		if n := testing.AllocsPerRun(10, func() {
+			v.ExactOC(ctx, ca, cb)
+		}); n != 0 {
+			t.Errorf("ExactOC/%s allocates %.1f times per call in steady state, want 0", name, n)
+		}
 	}
+	v := New()
 	single := partition.Single(ca)
 	v.ApproxOFD(single, cb, Options{Threshold: 0.5})
 	if n := testing.AllocsPerRun(10, func() {

@@ -126,7 +126,7 @@ func (v *Validator) loadPairs(cls []int32, ra, rb []int32, bDesc bool, flip int3
 	var maxKey uint64
 	if bDesc {
 		for i, row := range cls {
-			k := uint64(uint32(ra[row]))<<32 | uint64(uint32(flip-rb[row]))
+			k := packKey(ra[row], flip-rb[row])
 			v.kv[i] = pairKV{key: k, row: row}
 			if k > maxKey {
 				maxKey = k
@@ -134,7 +134,7 @@ func (v *Validator) loadPairs(cls []int32, ra, rb []int32, bDesc bool, flip int3
 		}
 	} else {
 		for i, row := range cls {
-			k := uint64(uint32(ra[row]))<<32 | uint64(uint32(rb[row]))
+			k := packKey(ra[row], rb[row])
 			v.kv[i] = pairKV{key: k, row: row}
 			if k > maxKey {
 				maxKey = k

@@ -79,9 +79,9 @@ func (s *scanScratch) reset(numClasses int) {
 	s.groupRow = s.groupRow[:numClasses]
 	s.epoch++
 	s.gen++
-	if s.epoch <= 0 || s.gen <= 0 { // wrapped: hard reset
-		clear(s.stamp)
-		clear(s.groupStamp)
+	if s.epoch <= 0 || s.gen <= 0 { // wrapped: hard reset over the full capacity
+		clear(s.stamp[:cap(s.stamp)])
+		clear(s.groupStamp[:cap(s.groupStamp)])
 		s.epoch, s.gen = 1, 1
 	}
 	s.touched = s.touched[:0]

@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -160,6 +161,50 @@ func TestExactOCScanScratchReuse(t *testing.T) {
 			t.Fatal("monotone pair must hold on every call")
 		}
 		_ = rng
+	}
+}
+
+// TestExactOCScanEpochWrap pins the hard reset on a stamp-counter wrap: it
+// must clear the stamps of every class the scratch holds, not only those of
+// the wrapping call's classes, or a later call over more classes reads
+// pre-wrap stamps as current and reports a swap that does not exist.
+func TestExactOCScanEpochWrap(t *testing.T) {
+	// Ten classes of three rows, A == B taking three values in each class.
+	ctxVals, vals := make([]int64, 30), make([]int64, 30)
+	for i := range ctxVals {
+		ctxVals[i], vals[i] = int64(i%10), int64(i/10)
+	}
+	wide, err := dataset.NewBuilder().AddInts("c", ctxVals).AddInts("a", vals).AddInts("b", vals).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := dataset.NewBuilder().
+		AddInts("c", []int64{0, 0, 1, 1}).
+		AddInts("a", []int64{0, 1, 0, 1}).
+		AddInts("b", []int64{0, 1, 0, 1}).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func(v *Validator, tbl *dataset.Table) bool {
+		ctx := partition.Single(tbl.Column(0))
+		ok, _ := v.ExactOCScan(ctx.ClassIDs(), ctx.NumClasses(), NewTableOrders(tbl).Order(1), tbl.Column(1), tbl.Column(2))
+		return ok
+	}
+	v := New()
+	// Two calls leave all ten classes stamped with epoch 2, the value the
+	// epoch takes again on the second call after the wrap.
+	for i := 0; i < 2; i++ {
+		if !scan(v, wide) {
+			t.Fatal("A == B must hold before the wrap")
+		}
+	}
+	v.scan.epoch = math.MaxInt32
+	if !scan(v, narrow) {
+		t.Fatal("A == B must hold on the wrapping call")
+	}
+	if !scan(v, wide) {
+		t.Fatal("A == B reported a swap after the epoch wrapped: stale stamps survived the reset")
 	}
 }
 

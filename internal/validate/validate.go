@@ -11,10 +11,20 @@
 // (see the proof of Theorem 3.3), and stripped singleton classes can contain
 // neither swaps nor splits, so operating on stripped partitions is exact.
 //
-// The hot path is allocation-free in steady state: per-class tuple orders
-// come from an LSD radix sort over packed (A-rank, B-rank) keys held in
-// Validator scratch (see radix.go), and LNDS reconstruction reuses a
-// lis.Scratch. A comparison sort takes over below a small class-size cutoff.
+// The hot path is allocation-free in steady state and comes in two forms.
+// Discovery needs only whether a candidate holds and, if it does, its
+// removal count, and OptimalAOC, ApproxOFD and ExactOC compute just that
+// when no removal rows are asked for. They decide a two-row class with one
+// comparison; OptimalAOC and ExactOC sort longer classes as bare packed
+// (A-rank, B-rank) keys — insertion sort up to 16 rows, above that an LSD
+// radix over only the bytes where the class's keys differ — and take the
+// LNDS as a length over its tails (count.go). Unless the full error is
+// asked for, the count stops once it passes the removal budget. Callers
+// that collect removal rows (repair, the public Validate* calls, removal
+// sets in reports) take the sorting path instead: (key, row) pairs
+// radix-sorted stably, with a comparison sort below 64 rows (radix.go), and
+// one LNDS reconstructed with a lis.Scratch, so a removal set names the
+// same rows on every run.
 package validate
 
 import (
@@ -87,11 +97,15 @@ type Validator struct {
 	// sorted order (see sortClass).
 	a, b []int32
 	rows []int32
-	// kv, kvTmp are the radix-sort key buffers (radix.go).
+	// kv, kvTmp are the radix-sort key buffers of the sorting path (radix.go).
 	kv, kvTmp []pairKV
-	freq      []int32
-	scan      scanScratch
-	lnds      lis.Scratch
+	// keys, keysTmp and tails are the count-only kernels' key buffers and
+	// LNDS tails (count.go).
+	keys, keysTmp []uint64
+	tails         []uint32
+	freq          []int32
+	scan          scanScratch
+	lnds          lis.Scratch
 	// inv and alive are the iterative validator's per-class scratch: swap
 	// counts (Fenwick-backed) and the greedy removal's liveness markers.
 	inv   lis.InvScratch
@@ -104,32 +118,26 @@ func New() *Validator { return &Validator{} }
 // ExactOC verifies the exact canonical OC X: A ∼ B (Def. 2.10) over the
 // context partition ctx. It returns whether the OC holds and, when it does
 // not, one witness swap (a pair of row ids violating Def. 2.5). Runtime is
-// O(‖ctx‖ log m) from sorting within classes.
+// O(‖ctx‖ log m) from sorting within classes, on the count-only kernels
+// (count.go): a swap exists iff some tuple's B is below the largest B of a
+// strictly earlier A-group, and the witness is the first row of each of the
+// two offending (A, B) values.
 func (v *Validator) ExactOC(ctx *partition.Stripped, a, b *dataset.Column) (holds bool, witness [2]int32) {
 	ra, rb := a.Ranks(), b.Ranks()
 	for ci, nc := 0, ctx.NumClasses(); ci < nc; ci++ {
-		v.sortClass(ctx.Class(ci), ra, rb, false, 0)
-		// Swap exists iff some element's B is below the running max-B of all
-		// strictly earlier A groups.
-		maxPrev := int32(-1)     // max B over strictly earlier A-groups
-		maxPrevRow := int32(-1)  // a row attaining it
-		groupMax := int32(-1)    // max B within the current A-group
-		groupMaxRow := int32(-1) // a row attaining it
-		groupStartA := int32(-1)
-		for i := range v.a {
-			if v.a[i] != groupStartA {
-				if groupMax > maxPrev {
-					maxPrev, maxPrevRow = groupMax, groupMaxRow
-				}
-				groupStartA = v.a[i]
-				groupMax, groupMaxRow = -1, -1
+		cls := ctx.Class(ci)
+		if len(cls) == 2 {
+			if lo, hi, swap := pairSwap(cls[0], cls[1], ra, rb); swap {
+				return false, [2]int32{lo, hi}
 			}
-			if v.b[i] < maxPrev {
-				return false, [2]int32{maxPrevRow, v.rows[i]}
-			}
-			if v.b[i] > groupMax {
-				groupMax, groupMaxRow = v.b[i], v.rows[i]
-			}
+			continue
+		}
+		keys, ok := v.classKeys(cls, ra, rb)
+		if !ok {
+			continue
+		}
+		if prev, cur, found := firstSwap(keys); found {
+			return false, [2]int32{firstRowWithKey(cls, ra, rb, prev), firstRowWithKey(cls, ra, rb, cur)}
 		}
 	}
 	return true, [2]int32{-1, -1}
@@ -154,25 +162,28 @@ func (v *Validator) collectRemoved(m int, keep []int32, removed []int32) []int32
 // (Theorem 3.3). Per context class, tuples are ordered by [A asc, B asc] and
 // the tuples outside one longest non-decreasing subsequence of the
 // B-projection form the class's minimal removal set.
+//
+// Without opts.CollectRemovals only the count is needed, and the count-only
+// kernels (count.go) compute it; unless opts.ComputeFullError is set they
+// stop, inside a class if need be, as soon as the count exceeds the budget.
 func (v *Validator) OptimalAOC(ctx *partition.Stripped, a, b *dataset.Column, opts Options) Result {
+	if opts.CollectRemovals {
+		return v.optimalSorted(ctx, a, b, false, opts)
+	}
 	n := ctx.N
-	budget := removalBudget(opts.Threshold, n)
+	limit := removalBudget(opts.Threshold, n)
+	if opts.ComputeFullError {
+		limit = math.MaxInt
+	}
 	ra, rb := a.Ranks(), b.Ranks()
 	removals := 0
-	var removed []int32
 	for ci, nc := 0, ctx.NumClasses(); ci < nc; ci++ {
-		cls := ctx.Class(ci)
-		v.sortClass(cls, ra, rb, false, 0)
-		keep := v.lnds.LNDS(v.b)
-		removals += len(cls) - len(keep)
-		if opts.CollectRemovals {
-			removed = v.collectRemoved(len(cls), keep, removed)
-		}
-		if !opts.ComputeFullError && !opts.CollectRemovals && removals > budget {
+		removals += v.countRemovals(ctx.Class(ci), ra, rb, limit-removals)
+		if removals > limit {
 			return finish(removals, n, opts, true, nil)
 		}
 	}
-	return finish(removals, n, opts, false, removed)
+	return finish(removals, n, opts, false, nil)
 }
 
 // OptimalAOD validates the approximate canonical OD X: A ↦ B (Section 3.3
@@ -180,6 +191,14 @@ func (v *Validator) OptimalAOC(ctx *partition.Stripped, a, b *dataset.Column, op
 // *descending*, which forces the LNDS solution to remove all splits as well
 // as all swaps. The removal set remains minimal.
 func (v *Validator) OptimalAOD(ctx *partition.Stripped, a, b *dataset.Column, opts Options) Result {
+	return v.optimalSorted(ctx, a, b, true, opts)
+}
+
+// optimalSorted is the removal-collecting form of Algorithm 2: each class is
+// sorted into v.a / v.b / v.rows (B descending within A-ties when bDesc) and
+// one LNDS is reconstructed, so the removal set names the same rows on every
+// run.
+func (v *Validator) optimalSorted(ctx *partition.Stripped, a, b *dataset.Column, bDesc bool, opts Options) Result {
 	n := ctx.N
 	budget := removalBudget(opts.Threshold, n)
 	ra, rb := a.Ranks(), b.Ranks()
@@ -188,7 +207,7 @@ func (v *Validator) OptimalAOD(ctx *partition.Stripped, a, b *dataset.Column, op
 	var removed []int32
 	for ci, nc := 0, ctx.NumClasses(); ci < nc; ci++ {
 		cls := ctx.Class(ci)
-		v.sortClass(cls, ra, rb, true, flip)
+		v.sortClass(cls, ra, rb, bDesc, flip)
 		keep := v.lnds.LNDS(v.b)
 		removals += len(cls) - len(keep)
 		if opts.CollectRemovals {
@@ -226,20 +245,15 @@ func (v *Validator) SampledAOCEstimate(ctx *partition.Stripped, a, b *dataset.Co
 			sampled += m
 			continue
 		}
-		v.grow(m)
-		var maxKey uint64
-		for i := 0; i < m; i++ {
+		v.growKeys(m)
+		keys := v.keys[:m]
+		var diff uint64
+		for i := range keys {
 			row := cls[i*stride]
-			k := uint64(uint32(ra[row]))<<32 | uint64(uint32(rb[row]))
-			v.kv[i] = pairKV{key: k, row: row}
-			if k > maxKey {
-				maxKey = k
-			}
+			keys[i] = packKey(ra[row], rb[row])
+			diff |= keys[i] ^ keys[0]
 		}
-		v.sortPairs(m, maxKey)
-		v.decodePairs(m, false, 0)
-		keep := v.lnds.LNDS(v.b)
-		removals += m - len(keep)
+		removals += v.lndsRemovals(v.sortKeys(keys, diff), math.MaxInt)
 		sampled += m
 	}
 	// Singleton-stripped rows are swap-free; scale the denominator the same
@@ -278,10 +292,16 @@ func ApproxOFD(ctx *partition.Stripped, a *dataset.Column, opts Options) Result 
 
 // ApproxOFD is the scratch-reusing form of the package-level ApproxOFD: the
 // per-value frequency array is kept across calls so discovery loops do not
-// allocate per candidate.
+// allocate per candidate. Without opts.CollectRemovals a two-row class costs
+// one comparison, and unless opts.ComputeFullError is set too the count
+// stops at the first class that takes it past the budget.
 func (v *Validator) ApproxOFD(ctx *partition.Stripped, a *dataset.Column, opts Options) Result {
 	n := ctx.N
 	ra := a.Ranks()
+	stopAt := math.MaxInt
+	if !opts.CollectRemovals && !opts.ComputeFullError {
+		stopAt = removalBudget(opts.Threshold, n)
+	}
 	removals := 0
 	var removed []int32
 	if cap(v.freq) < a.NumDistinct() {
@@ -290,26 +310,35 @@ func (v *Validator) ApproxOFD(ctx *partition.Stripped, a *dataset.Column, opts O
 	freq := v.freq[:a.NumDistinct()]
 	for ci, nc := 0, ctx.NumClasses(); ci < nc; ci++ {
 		cls := ctx.Class(ci)
-		var best int32
-		var bestRank int32 = -1
-		for _, row := range cls {
-			r := ra[row]
-			freq[r]++
-			if freq[r] > best {
-				best, bestRank = freq[r], r
+		if len(cls) == 2 && !opts.CollectRemovals {
+			if ra[cls[0]] != ra[cls[1]] {
+				removals++
 			}
-		}
-		removals += len(cls) - int(best)
-		if opts.CollectRemovals {
+		} else {
+			var best int32
+			var bestRank int32 = -1
 			for _, row := range cls {
-				if ra[row] != bestRank {
-					removed = append(removed, row)
+				r := ra[row]
+				freq[r]++
+				if freq[r] > best {
+					best, bestRank = freq[r], r
 				}
 			}
+			removals += len(cls) - int(best)
+			if opts.CollectRemovals {
+				for _, row := range cls {
+					if ra[row] != bestRank {
+						removed = append(removed, row)
+					}
+				}
+			}
+			// Reset only the touched counters.
+			for _, row := range cls {
+				freq[ra[row]] = 0
+			}
 		}
-		// Reset only the touched counters.
-		for _, row := range cls {
-			freq[ra[row]] = 0
+		if removals > stopAt {
+			return finish(removals, n, opts, true, nil)
 		}
 	}
 	return finish(removals, n, opts, false, removed)
