@@ -346,11 +346,12 @@ func ocKeyOf(oc core.OC) string {
 	return fmt.Sprintf("%d|%d|%d", uint64(oc.Context), oc.A, oc.B)
 }
 
-// contextPartition materializes Π_ctx directly from single-column partitions.
+// contextPartition materializes Π_ctx by splitting the universe by each
+// context column in turn.
 func contextPartition(tbl *dataset.Table, ctx lattice.AttrSet) *partition.Stripped {
 	p := partition.Universe(tbl.NumRows())
 	ctx.ForEach(func(a int) {
-		p = p.Product(partition.Single(tbl.Column(a)))
+		p = p.SplitBy(tbl.Column(a))
 	})
 	return p
 }

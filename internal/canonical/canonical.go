@@ -96,7 +96,7 @@ func Holds(tbl *dataset.Table, x, y []int) bool {
 		}
 		p := partition.Universe(tbl.NumRows())
 		s.ForEach(func(a int) {
-			p = p.Product(partition.Single(tbl.Column(a)))
+			p = p.SplitBy(tbl.Column(a))
 		})
 		parts[s] = p
 		return p

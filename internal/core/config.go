@@ -74,9 +74,6 @@ type Config struct {
 	// TimeLimit aborts discovery after the given wall-clock duration,
 	// returning partial results with Stats.TimedOut set. 0 disables.
 	TimeLimit time.Duration
-	// KeepPartitions disables the default release of stripped partitions
-	// two levels behind the frontier (mainly for debugging/tests).
-	KeepPartitions bool
 	// SampleStride > 1 enables hybrid-sampling pre-filtering of AOC
 	// candidates (the paper's future-work direction after [6]): a candidate
 	// is first estimated on every SampleStride-th tuple of each class and

@@ -78,12 +78,15 @@ func (e *engine) columnB(b int, desc bool) *dataset.Column {
 	return e.t.tbl.Column(b)
 }
 
+// materialize returns the node's partition, charging the time to build it —
+// or, under the pool, to wait for another worker building it — to the
+// engine's partition time.
 func (e *engine) materialize(node *lattice.Node) *partition.Stripped {
 	if node.HasPartition() {
-		return node.PartitionIn(e.t.arena, e.t.singles)
+		return node.Partition(e.t.arena, e.t.tbl)
 	}
 	t0 := time.Now()
-	p := node.PartitionIn(e.t.arena, e.t.singles)
+	p := node.Partition(e.t.arena, e.t.tbl)
 	e.res.Stats.PartitionTime += time.Since(t0)
 	return p
 }

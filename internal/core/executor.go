@@ -135,14 +135,12 @@ func (p *poolExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level) i
 	if t.abortedInto(st) {
 		return 0
 	}
-	// Phase 1: materialize this level's parent partitions in parallel — safe
-	// because every node only writes to itself once its parents are
-	// materialized, and parents live on already-complete levels.
-	materializeLevel(t, prev, p.workers)
-
-	// Phase 2: validate candidates of all nodes concurrently. Each worker
-	// owns an engine (validator + scratch); per-node outputs are merged in
-	// node order afterwards to preserve the sequential result order.
+	// Validate candidates of all nodes concurrently. Each worker owns an
+	// engine (validator + scratch) and materializes the context partitions
+	// its candidates read on demand — the lattice's per-node guard builds
+	// each once, so the pool builds exactly the serial executor's partitions.
+	// Per-node outputs are merged in node order afterwards to preserve the
+	// sequential result order.
 	outs := make([]nodeOut, len(cur.Nodes))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -180,37 +178,6 @@ func (p *poolExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level) i
 		st.merge(&o.stats)
 	}
 	return candidates
-}
-
-// materializeLevel ensures every node of the level has its partition, in
-// parallel across `workers` goroutines (the pool executor's phase 1; the
-// sharded executor reuses it before shipping partition frames). The context
-// is polled per node so a canceled run does not pay for a whole level's
-// partitioning; skipped nodes materialize lazily if ever touched (they won't
-// be — the caller aborts next).
-func materializeLevel(t *traversal, lvl *lattice.Level, workers int) {
-	if lvl == nil {
-		return
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan *lattice.Node)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := range jobs {
-				if t.ctx != nil && t.ctx.Err() != nil {
-					continue // keep draining; the caller aborts the level
-				}
-				n.PartitionIn(t.arena, t.singles)
-			}
-		}()
-	}
-	for _, n := range lvl.Nodes {
-		jobs <- n
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // DiscoverParallel runs the same discovery as Discover but validates the

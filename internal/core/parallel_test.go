@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+	"time"
+
+	"aod/internal/gen"
 )
 
 func TestParallelMatchesSequential(t *testing.T) {
@@ -104,5 +108,30 @@ func TestParallelOnGeneratedWorkload(t *testing.T) {
 		if len(seq.OCs[i].RemovalRows) != len(par.OCs[i].RemovalRows) {
 			t.Fatalf("removal sets differ at %d", i)
 		}
+	}
+}
+
+// TestParallelPoolChargesPartitionTime pins the pool's partition accounting:
+// pool workers build the context partitions their candidates read on demand
+// and charge the time like the serial executor does, so the levels past 2 —
+// whose contexts are all products of earlier levels — report partition time.
+func TestParallelPoolChargesPartitionTime(t *testing.T) {
+	tbl := gen.NCVoter(gen.NCVoterConfig{Rows: 1200, Attrs: 10, Seed: 42})
+	var deep time.Duration
+	levels := 0
+	res, err := Pipeline{Executor: Pool(2), Sink: func(s Snapshot) {
+		if s.Level > 2 {
+			deep += s.LevelPartition
+			levels++
+		}
+	}}.Run(context.Background(), tbl, Config{Validator: ValidatorExact, IncludeOFDs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if levels == 0 {
+		t.Fatalf("discovery stopped at level %d; the test needs deeper levels", res.Stats.LevelsProcessed)
+	}
+	if deep <= 0 {
+		t.Errorf("pool charged no partition time over %d levels past 2 (total %v)", levels, res.Stats.PartitionTime)
 	}
 }

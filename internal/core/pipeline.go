@@ -114,7 +114,7 @@ type traversal struct {
 	numAttrs int
 	maxLevel int
 	// arena recycles the CSR buffers of released lattice levels into the
-	// next level's partition products, keeping steady-state traversal
+	// next level's partition splits, keeping steady-state traversal
 	// nearly allocation-free. It is concurrency-safe and shared by all
 	// workers of a pool executor.
 	arena    *partition.Arena
@@ -271,7 +271,7 @@ func (p Pipeline) Run(ctx context.Context, tbl *dataset.Table, cfg Config) (*Res
 
 	l0 := lattice.Level0(tbl.NumRows(), numAttrs)
 	prev2, prev := (*lattice.Level)(nil), l0
-	cur := lattice.Level1(l0, tbl, t.singles)
+	cur := lattice.Level1(t.singles)
 	for {
 		st.LevelsProcessed++
 		lvlStart := time.Now()
@@ -298,10 +298,12 @@ func (p Pipeline) Run(ctx context.Context, tbl *dataset.Table, cfg Config) (*Res
 		if next == nil {
 			next = lattice.NextLevel(cur, numAttrs)
 		}
-		if !cfg.KeepPartitions && prev2 != nil {
+		if prev2 != nil {
 			// prev2 is two levels behind the new frontier: its partitions are
-			// no longer reachable as parents or grandparents, so their CSR
-			// buffers recycle into the arena for the next level's products.
+			// no longer read as contexts, so their CSR buffers recycle into the
+			// arena for the next level's splits. No executor touches the
+			// lattice between levels, which is what lets Node.Partition's
+			// lazy guard ignore releases.
 			for _, n := range prev2.Nodes {
 				n.ReleasePartition(t.arena)
 			}

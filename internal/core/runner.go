@@ -56,28 +56,6 @@ type TaskRunner struct {
 	t   *traversal
 	eng *engine
 	src *foldSource
-	// seeds are coordinator-shipped context partitions waiting to be
-	// installed into the next RunLevel's fresh memo generation (installing
-	// before rotate would let the rotation recycle them mid-level).
-	seeds []SeedPartition
-}
-
-// SeedPartition is one coordinator-shipped context partition: the runner
-// installs it into its fold memo so the level's tasks resolve the set by
-// lookup instead of re-folding it from single-attribute partitions. The
-// partition must be in canonical fold order (the product of the two
-// smallest-attribute subsets, recursively) — shipped partitions come from
-// the coordinator's lattice, which builds them exactly that way.
-type SeedPartition struct {
-	Set  lattice.AttrSet
-	Part *partition.Stripped
-}
-
-// SeedPartitions queues shipped partitions for the next RunLevel call. The
-// runner takes ownership: seeds recycle into its arena like any built
-// partition once their generation dies.
-func (r *TaskRunner) SeedPartitions(seeds []SeedPartition) {
-	r.seeds = append(r.seeds, seeds...)
 }
 
 // NewTaskRunner validates the configuration against the table and returns a
@@ -113,15 +91,6 @@ func (r *TaskRunner) PartitionCacheStats() (hits, builds uint64) {
 	return r.src.hits, r.src.builds
 }
 
-// SeededPartitions returns how many coordinator-shipped partitions were
-// installed into the fold memo (duplicates of already-memoized sets are
-// recycled, not counted).
-func (r *TaskRunner) SeededPartitions() uint64 { return r.src.seeded }
-
-// NumRows returns the prepared table's row count — the bound incoming seed
-// partitions are validated against.
-func (r *TaskRunner) NumRows() int { return r.t.tbl.NumRows() }
-
 // RunLevel executes one slice of a lattice level in task order. The context
 // bounds the work: when it is canceled (the coordinator gave up on this
 // shard), the remaining tasks are skipped and the partial results are
@@ -129,10 +98,6 @@ func (r *TaskRunner) NumRows() int { return r.t.tbl.NumRows() }
 func (r *TaskRunner) RunLevel(ctx context.Context, tasks []NodeTask) []NodeResult {
 	r.t.ctx = ctx
 	r.src.rotate()
-	if len(r.seeds) > 0 {
-		r.src.install(r.seeds)
-		r.seeds = r.seeds[:0]
-	}
 	out := make([]NodeResult, len(tasks))
 	for i := range tasks {
 		if ctx != nil && ctx.Err() != nil {
@@ -145,40 +110,16 @@ func (r *TaskRunner) RunLevel(ctx context.Context, tasks []NodeTask) []NodeResul
 
 // foldSource resolves context partitions by folding single-attribute
 // partitions, memoized across two level generations: the partitions built
-// for level ℓ's tasks (parents at ℓ−1, and every prefix below) are exactly
-// the grandparents — and the fold bases — of level ℓ+1's tasks. Dead
-// generations recycle into the runner's arena.
+// for level ℓ's tasks (contexts at ℓ−1 and ℓ−2, and the sets each was split
+// from) hold the contexts and split bases that level ℓ+1's tasks read from
+// the level below. Dead generations recycle into the runner's arena.
 type foldSource struct {
 	r          *TaskRunner
 	memo, prev map[lattice.AttrSet]*partition.Stripped
 	universe   *partition.Stripped
 	// hits counts memoized (or generation-carried) partition lookups; builds
-	// counts fresh arena products; seeded counts coordinator-shipped
-	// partitions adopted into the memo — the worker's partition telemetry.
-	hits, builds, seeded uint64
-}
-
-// install adopts shipped partitions into the live generation. A set the memo
-// (or the carried previous generation) already holds wins — the local copy is
-// arena-recycled memory — and the duplicate seed's buffers recycle instead.
-func (s *foldSource) install(seeds []SeedPartition) {
-	for _, sd := range seeds {
-		if sd.Part == nil {
-			continue
-		}
-		if _, ok := s.memo[sd.Set]; ok {
-			s.r.t.arena.Recycle(sd.Part)
-			continue
-		}
-		if p, ok := s.prev[sd.Set]; ok {
-			s.memo[sd.Set] = p
-			delete(s.prev, sd.Set)
-			s.r.t.arena.Recycle(sd.Part)
-			continue
-		}
-		s.memo[sd.Set] = sd.Part
-		s.seeded++
-	}
+	// counts fresh arena splits — the worker's partition telemetry.
+	hits, builds uint64
 }
 
 // rotate opens a new level generation: the current memo becomes the previous
@@ -214,19 +155,17 @@ func (s *foldSource) partitionOf(set lattice.AttrSet, st *TaskStats) *partition.
 		delete(s.prev, set)
 		return p
 	}
-	// Replicate the lattice's product structure exactly — Π_S is the product
-	// of the partitions missing the two smallest attributes, recursively —
-	// so the resulting CSR class order (which validators' removal-set
-	// collection observes) is identical to the coordinator's, not merely the
-	// same set family.
+	// Replicate the lattice's construction exactly — Π_S splits the partition
+	// missing the smallest attribute by that attribute, recursively — so the
+	// resulting CSR class order (which validators' removal-set collection
+	// observes) is identical to the coordinator's, not merely the same set
+	// family.
 	c1 := set.Min()
-	c2 := set.Remove(c1).Min()
-	p0 := s.partitionOf(set.Remove(c1), st)
-	p1 := s.partitionOf(set.Remove(c2), st)
-	// Only the fresh product's own cost lands here; the recursive bases
-	// charged themselves already.
+	base := s.partitionOf(set.Remove(c1), st)
+	// Only the fresh split's own cost lands here; the recursive base charged
+	// itself already.
 	t0 := time.Now()
-	p := s.r.t.arena.Product(p0, p1)
+	p := s.r.t.arena.Split(base, s.r.t.tbl.Column(c1))
 	st.PartitionTime += time.Since(t0)
 	s.builds++
 	s.memo[set] = p

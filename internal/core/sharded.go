@@ -37,20 +37,6 @@ type ShardSession interface {
 	Close() error
 }
 
-// ShardSessionParts is the optional partition-shipping capability of a
-// ShardSession: RunSliceParts is RunSlice plus coordinator-built context
-// partitions for the slice, which the worker installs into its fold memo
-// instead of re-deriving them from single-attribute partitions. The executor
-// type-asserts for it, so sessions (and test fakes) that only implement
-// ShardSession keep working — their slices simply fold worker-side.
-//
-// The shipped partitions must be immutable for the life of the session
-// (partition.Share): a losing straggler attempt can still be encoding them
-// after the slice committed and later levels released its lattice ancestry.
-type ShardSessionParts interface {
-	RunSliceParts(ctx context.Context, shard, level int, tasks []NodeTask, parts []SeedPartition) ([]NodeResult, error)
-}
-
 // Sharded returns the distributed executor: each lattice level's tasks are
 // sliced contiguously across the pool's shards, executed remotely, and the
 // results merged in node order — so reports and non-timing stats are
@@ -105,8 +91,7 @@ type shardedExecutor struct {
 	// pre-dispatched slices in flight) from one runLevel call into the next.
 	pending *levelRun
 	// localMu serializes local (fallback) slice execution and the node-order
-	// commit: the engine and the lattice's lazily materialized partitions are
-	// not concurrency-safe.
+	// commit: the engine is not concurrency-safe.
 	localMu sync.Mutex
 }
 
@@ -230,14 +215,6 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 	// shows each slice's round trips (and worker-side spans) per level —
 	// pre-dispatched slices appear under the level that dispatched them.
 	ctx := t.dispatchContext()
-	ship := x.shouldShipParts(t, run, prev)
-	if ship {
-		// Materialize the parent level once (in parallel) before slicing: each
-		// product reuses the grandparents materialized one level ago, so this
-		// is the pool executor's incremental per-level partition cost, paid
-		// once here instead of once per worker.
-		materializeLevel(t, prev, runtime.GOMAXPROCS(0))
-	}
 	remaining := 0
 	for j, sp := range run.plan {
 		if sp.lo == sp.hi {
@@ -246,11 +223,7 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 		}
 		if !run.dispatched[j] {
 			run.dispatched[j] = true
-			var parts []SeedPartition
-			if ship {
-				parts = sliceParts(t, run, j, prev)
-			}
-			x.dispatch(ctx, run, j, parts)
+			x.dispatch(ctx, run, j)
 		}
 		remaining++
 	}
@@ -301,65 +274,6 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 	return candidates
 }
 
-// shipPartsMinRows is the partition-shipping cutover. Folding one context
-// partition worker-side costs a few O(rows) product passes, while shipping it
-// costs roughly the same O(rows) once to encode plus once per receiving
-// worker on the wire — so shipping only wins when at least two workers would
-// each re-fold the same partitions and the per-partition work dwarfs the
-// frame's fixed overhead. Below this many table rows the fold is cheaper
-// than the wire and the workers keep folding locally.
-const shipPartsMinRows = 2048
-
-// shouldShipParts decides the level's partition-shipping cutover: the session
-// must speak the parts capability, the parent level must hold real products
-// (levels 0/1 are the universe and the singles every worker already has),
-// the table must be past the fold-vs-wire break-even, and at least two
-// slices must be in play (a lone worker's fold memo is already as warm as
-// the coordinator's lattice).
-func (x *shardedExecutor) shouldShipParts(t *traversal, run *levelRun, prev *lattice.Level) bool {
-	if x.sess == nil || prev == nil || prev.Number < 2 || t.tbl.NumRows() < shipPartsMinRows {
-		return false
-	}
-	if _, ok := x.sess.(ShardSessionParts); !ok {
-		return false
-	}
-	nonEmpty := 0
-	for _, sp := range run.plan {
-		if sp.lo < sp.hi {
-			nonEmpty++
-		}
-	}
-	return nonEmpty >= 2
-}
-
-// sliceParts collects the distinct parent partitions the slice's tasks
-// reference as fold bases and OFD contexts, in node order. The partitions are
-// marked shared before leaving the lattice: arena recycling refuses them from
-// then on, so a straggler attempt still encoding after the level retires can
-// never observe a reset (the GC reclaims them when the last reference dies).
-func sliceParts(t *traversal, run *levelRun, j int, prev *lattice.Level) []SeedPartition {
-	sp := run.plan[j]
-	seen := make(map[lattice.AttrSet]struct{}, (sp.hi-sp.lo)+run.level.Number)
-	var parts []SeedPartition
-	for i := sp.lo; i < sp.hi; i++ {
-		set := run.level.Nodes[i].Set
-		set.ForEach(func(c int) {
-			pset := set.Remove(c)
-			if _, ok := seen[pset]; ok {
-				return
-			}
-			seen[pset] = struct{}{}
-			pn := prev.Lookup(pset)
-			if pn == nil {
-				return
-			}
-			p := pn.PartitionIn(t.arena, t.singles).Share()
-			parts = append(parts, SeedPartition{Set: pset, Part: p})
-		})
-	}
-	return parts
-}
-
 // dispatch sends slice j of the run to the pool in the background, reporting
 // the outcome on run.ch. Successful results are copied into the run's result
 // slots before the outcome is published.
@@ -369,20 +283,13 @@ func sliceParts(t *traversal, run *levelRun, j int, prev *lattice.Level) []SeedP
 // encoding them after the slice's first answer wins and the node commits
 // (applyTask mutates the node's sets). The copy makes every remote attempt
 // read-only on stable memory; local fallback keeps using the originals.
-// parts, when non-empty, ride ahead of the slice on the same exchange (the
-// session re-ships them to whichever worker a retry or straggler re-dispatch
-// lands on).
-func (x *shardedExecutor) dispatch(ctx context.Context, run *levelRun, j int, parts []SeedPartition) {
+// Workers fold the context partitions they read from their cached
+// single-column partitions, so no partition ever rides the wire.
+func (x *shardedExecutor) dispatch(ctx context.Context, run *levelRun, j int) {
 	sp := run.plan[j]
 	wire := copyTaskWords(run.tasks[sp.lo:sp.hi])
 	go func() {
-		var rs []NodeResult
-		var err error
-		if ps, ok := x.sess.(ShardSessionParts); ok && len(parts) > 0 {
-			rs, err = ps.RunSliceParts(ctx, j, run.level.Number, wire, parts)
-		} else {
-			rs, err = x.sess.RunSlice(ctx, j, run.level.Number, wire)
-		}
+		rs, err := x.sess.RunSlice(ctx, j, run.level.Number, wire)
 		if err == nil && len(rs) != sp.hi-sp.lo {
 			err = fmt.Errorf("shard: slice %d returned %d results for %d tasks", j, len(rs), sp.hi-sp.lo)
 		}
@@ -464,7 +371,6 @@ func (x *shardedExecutor) maybePrefetch(t *traversal, cur *lattice.Level, run *l
 		pend.built++
 	}
 	ctx := t.dispatchContext()
-	ship := x.shouldShipParts(t, pend, cur)
 	for j, sp := range pend.plan {
 		if pend.dispatched[j] || sp.lo == sp.hi || sp.hi > pend.built {
 			continue
@@ -477,16 +383,7 @@ func (x *shardedExecutor) maybePrefetch(t *traversal, cur *lattice.Level, run *l
 			continue
 		}
 		pend.dispatched[j] = true
-		var parts []SeedPartition
-		if ship {
-			// A prefetched slice dispatches only once every parent of its
-			// tasks lies in cur's committed prefix, so the parent partitions
-			// it needs are materializable right now (PartitionIn resolves
-			// them lazily, here on the commit goroutine — the same
-			// serialization applyTask runs under).
-			parts = sliceParts(t, pend, j, cur)
-		}
-		x.dispatch(ctx, pend, j, parts)
+		x.dispatch(ctx, pend, j)
 	}
 }
 
@@ -514,8 +411,7 @@ func maxParentIndexes(next, cur *lattice.Level) []int {
 
 // runLocal executes a slice on the coordinator, resolving partitions through
 // the lattice like the serial executor. Serialized by localMu: concurrent
-// fallback slices share one engine and the nodes' lazily materialized
-// partitions.
+// fallback slices share one engine.
 func (x *shardedExecutor) runLocal(t *traversal, tasks []NodeTask, results []NodeResult, prev, prev2 *lattice.Level) {
 	x.localMu.Lock()
 	defer x.localMu.Unlock()

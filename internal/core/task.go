@@ -124,11 +124,11 @@ var (
 )
 
 // partSource abstracts where a task execution gets its context partitions:
-// the coordinator's lattice (levelSource — parents and grandparents already
-// materialized or materialized on demand into the shared arena), or a shard
-// worker's fold cache (foldSource — rebuilt from cached single-column
-// partitions). classIDsOf backs the sorted-scan exact route, which only the
-// serial executor enables; other sources never receive the call.
+// the coordinator's lattice (levelSource — parents and grandparents
+// materialized on demand into the shared arena), or a shard worker's fold
+// cache (foldSource — rebuilt from cached single-column partitions).
+// classIDsOf backs the sorted-scan exact route, which only the serial
+// executor enables; other sources never receive the call.
 type partSource interface {
 	partitionOf(set lattice.AttrSet, st *TaskStats) *partition.Stripped
 	classIDsOf(set lattice.AttrSet) []int32
@@ -156,7 +156,7 @@ func (s levelSource) partitionOf(set lattice.AttrSet, _ *TaskStats) *partition.S
 }
 
 func (s levelSource) classIDsOf(set lattice.AttrSet) []int32 {
-	return s.node(set).ClassIDs(s.e.t.singles)
+	return s.node(set).ClassIDs(s.e.t.arena, s.e.t.tbl)
 }
 
 // buildTask propagates validity state from the parents into the node (the

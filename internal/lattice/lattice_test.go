@@ -200,15 +200,14 @@ func singlesOf(tbl *dataset.Table) []*partition.Stripped {
 
 func TestLevelGenerationEnumeratesAllSets(t *testing.T) {
 	tbl := buildTestTable(t, 5, 20, 1)
-	singles := singlesOf(tbl)
-	l0 := Level0(tbl.NumRows(), 5)
-	l1 := Level1(l0, tbl, singles)
+	l1 := Level1(singlesOf(tbl))
 	if len(l1.Nodes) != 5 {
 		t.Fatalf("level 1 size = %d", len(l1.Nodes))
 	}
 	want := []int{10, 10, 5, 1} // C(5,2), C(5,3), C(5,4), C(5,5)
 	cur := l1
 	for lv := 2; lv <= 5; lv++ {
+		prev := cur
 		cur = NextLevel(cur, 5)
 		if len(cur.Nodes) != want[lv-2] {
 			t.Fatalf("level %d size = %d, want %d", lv, len(cur.Nodes), want[lv-2])
@@ -222,12 +221,12 @@ func TestLevelGenerationEnumeratesAllSets(t *testing.T) {
 				t.Fatalf("duplicate node %v", n.Set)
 			}
 			seen[n.Set] = true
-			if n.parents[0] == nil || n.parents[1] == nil {
-				t.Fatalf("node %v missing parents", n.Set)
+			if n.parent == nil || prev.Lookup(n.parent.Set) != n.parent {
+				t.Fatalf("node %v has no generating parent in level %d", n.Set, lv-1)
 			}
-			if n.parents[0].Set.Union(n.parents[1].Set) != n.Set {
-				t.Fatalf("node %v parents %v, %v do not union to it",
-					n.Set, n.parents[0].Set, n.parents[1].Set)
+			if n.parent.Set != n.Set.Remove(n.Set.Min()) {
+				t.Fatalf("node %v generating parent %v, want the set without its smallest attribute",
+					n.Set, n.parent.Set)
 			}
 		}
 	}
@@ -239,15 +238,14 @@ func TestLevelGenerationEnumeratesAllSets(t *testing.T) {
 func TestLazyPartitionMatchesDirectProduct(t *testing.T) {
 	tbl := buildTestTable(t, 4, 40, 2)
 	singles := singlesOf(tbl)
-	l0 := Level0(tbl.NumRows(), 4)
-	l1 := Level1(l0, tbl, singles)
+	l1 := Level1(singles)
 	l2 := NextLevel(l1, 4)
 	l3 := NextLevel(l2, 4)
 	for _, n := range l3.Nodes {
 		if n.HasPartition() {
 			t.Fatalf("node %v materialized eagerly", n.Set)
 		}
-		got := n.Partition(singles)
+		got := n.Partition(nil, tbl)
 		// Reference: fold singles directly.
 		attrs := n.Set.Attrs()
 		want := singles[attrs[0]]
@@ -265,20 +263,25 @@ func TestLazyPartitionMatchesDirectProduct(t *testing.T) {
 
 func TestPartitionReleaseAndRematerialize(t *testing.T) {
 	tbl := buildTestTable(t, 3, 30, 3)
-	singles := singlesOf(tbl)
-	l0 := Level0(tbl.NumRows(), 3)
-	l1 := Level1(l0, tbl, singles)
-	l2 := NextLevel(l1, 3)
-	n := l2.Nodes[0]
-	p1 := n.Partition(singles)
+	l1 := Level1(singlesOf(tbl))
+	l3 := NextLevel(NextLevel(l1, 3), 3)
+	n := l3.Nodes[0]
+	p1 := n.Partition(nil, tbl)
 	n.ReleasePartition(nil)
 	if n.HasPartition() {
 		t.Fatal("partition not released")
 	}
-	// Release the parents too, forcing the fold-from-singles path.
-	n.parents[0].ReleasePartition(nil)
-	n.parents[1].ReleasePartition(nil)
-	p2 := n.Partition(singles)
+	// Release the generating parent too, forcing a rebuild from level 1,
+	// whose single-attribute partitions are never released.
+	n.parent.ReleasePartition(nil)
+	if n.parent.HasPartition() {
+		t.Fatal("parent partition not released")
+	}
+	l1.Nodes[0].ReleasePartition(nil)
+	if !l1.Nodes[0].HasPartition() {
+		t.Fatal("a level-1 partition was released")
+	}
+	p2 := n.Partition(nil, tbl)
 	if p1.NumClasses() != p2.NumClasses() || !p1.Refines(p2) || !p2.Refines(p1) {
 		t.Fatal("re-materialized partition differs")
 	}
@@ -286,9 +289,7 @@ func TestPartitionReleaseAndRematerialize(t *testing.T) {
 
 func TestLevelLookup(t *testing.T) {
 	tbl := buildTestTable(t, 3, 10, 4)
-	singles := singlesOf(tbl)
-	l0 := Level0(tbl.NumRows(), 3)
-	l1 := Level1(l0, tbl, singles)
+	l1 := Level1(singlesOf(tbl))
 	if l1.Lookup(NewAttrSet(1)) == nil {
 		t.Error("Lookup {1} failed")
 	}

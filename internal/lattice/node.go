@@ -2,6 +2,8 @@ package lattice
 
 import (
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"aod/internal/dataset"
 	"aod/internal/partition"
@@ -19,7 +21,7 @@ import (
 //     Y: A ∼ B is valid for some context Y ⊆ Set\{A,B}.
 //
 // Partitions are materialized lazily (see Partition): nodes whose subtree
-// never validates anything never pay the partition-product cost. This is the
+// never validates anything never pay the partition cost. This is the
 // mechanism behind the paper's Exp-5 observation that approximate discovery
 // can be faster than exact discovery: AOCs/AOFDs are found at lower levels,
 // validity state saturates sooner, and the engine stops early.
@@ -37,95 +39,77 @@ type Node struct {
 	// Allocated only when bidirectional discovery is enabled.
 	OCValidDesc *PairSet
 
-	// part is the stripped partition Π_Set, materialized on demand.
-	part *partition.Stripped
-	// owned marks a partition built by this node (a product), as opposed to
-	// a shared single-attribute or universe partition: only owned partitions
-	// may be recycled into an arena on release.
-	owned bool
-	// classIDs caches part.ClassIDs() for sorted-scan validation.
+	// part is the stripped partition Π_Set once built: loaded atomically on
+	// the fast path, stored under mu so concurrent readers build it once.
+	part atomic.Pointer[partition.Stripped]
+	mu   sync.Mutex
+	// classIDs caches part.ClassIDs() for sorted-scan validation (serial
+	// executor only; not guarded).
 	classIDs []int32
-	// parents are two generating parents with Set = p0.Set ∪ p1.Set
-	// (nil for levels 0 and 1).
-	parents [2]*Node
+	// parent is the generating parent Set\{min Set} (nil for levels 0 and
+	// 1): Π_Set splits each class of Π_parent by the ranks of min Set.
+	parent *Node
 }
 
 // ClassIDs returns (and caches) the per-row class ids of the node's
-// partition, materializing the partition if needed.
-func (n *Node) ClassIDs(singles []*partition.Stripped) []int32 {
+// partition, materializing the partition if needed. Unlike Partition it is
+// not safe for concurrent use.
+func (n *Node) ClassIDs(a *partition.Arena, tbl *dataset.Table) []int32 {
 	if n.classIDs == nil {
-		n.classIDs = n.Partition(singles).ClassIDs()
+		n.classIDs = n.Partition(a, tbl).ClassIDs()
 	}
 	return n.classIDs
 }
 
-// Partition returns Π_Set, materializing it on demand from the two
-// generating parents (recursively), or — if an ancestor's partition was
-// already released — by folding single-attribute partitions.
-func (n *Node) Partition(singles []*partition.Stripped) *partition.Stripped {
-	return n.PartitionIn(nil, singles)
-}
-
-// PartitionIn is Partition with an arena: products draw their CSR buffers
-// (and probe scratch) from a, so a traversal that releases exhausted levels
-// back into the same arena materializes each new level with near-zero
-// allocations. A nil arena falls back to plain allocation.
-func (n *Node) PartitionIn(a *partition.Arena, singles []*partition.Stripped) *partition.Stripped {
-	if n.part != nil {
-		return n.part
+// Partition returns Π_Set, materializing it on first use by splitting the
+// generating parent's partition (itself materialized the same way, down to
+// the single-attribute partitions of level 1) by the ranks of the node's
+// smallest attribute. The splits draw their CSR buffers and scratch from a,
+// so a traversal that releases exhausted levels into the same arena
+// materializes new levels with near-zero allocations; a nil arena falls back
+// to plain allocation.
+//
+// Partition is safe for concurrent use: a built partition is read with one
+// atomic load, and a per-node lock makes concurrent first readers wait for
+// one build instead of repeating it. Locks are taken child before parent, so
+// they cannot deadlock. ReleasePartition must not run concurrently with it.
+func (n *Node) Partition(a *partition.Arena, tbl *dataset.Table) *partition.Stripped {
+	if p := n.part.Load(); p != nil {
+		return p
 	}
-	switch {
-	case n.Level == 0:
-		n.part = partition.Universe(singles[0].N)
-	case n.Level == 1:
-		n.part = singles[n.Set.Min()]
-	case n.parents[0] != nil && n.parents[1] != nil:
-		// Levels >= 2 have two proper parents at level-1 cardinality; the
-		// product of any two distinct strict subsets covering Set yields
-		// Π_Set.
-		p0 := n.parents[0].PartitionIn(a, singles)
-		p1 := n.parents[1].PartitionIn(a, singles)
-		n.part = productIn(a, p0, p1)
-		n.owned = true
-	default:
-		// Fallback: fold single-attribute partitions, recycling the
-		// intermediate products.
-		attrs := n.Set.Attrs()
-		p := singles[attrs[0]]
-		for i, c := range attrs[1:] {
-			next := productIn(a, p, singles[c])
-			if i > 0 && a != nil {
-				a.Recycle(p)
-			}
-			p = next
-		}
-		n.part = p
-		n.owned = true
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if p := n.part.Load(); p != nil {
+		return p
 	}
-	return n.part
-}
-
-func productIn(a *partition.Arena, p, q *partition.Stripped) *partition.Stripped {
+	base := n.parent.Partition(a, tbl)
+	col := tbl.Column(n.Set.Min())
+	var p *partition.Stripped
 	if a == nil {
-		return p.Product(q)
+		p = base.SplitBy(col)
+	} else {
+		p = a.Split(base, col)
 	}
-	return a.Product(p, q)
+	n.part.Store(p)
+	return p
 }
 
 // HasPartition reports whether the partition is currently materialized.
-func (n *Node) HasPartition() bool { return n.part != nil }
+func (n *Node) HasPartition() bool { return n.part.Load() != nil }
 
 // ReleasePartition frees the materialized partition (and cached class ids)
-// to bound memory; both can be re-materialized later if needed. When the
-// node owns its partition (a product) and a is non-nil, the partition's
-// buffers are recycled into the arena — the caller must guarantee no live
-// references remain.
+// to bound memory; both are re-materialized if needed later. A split
+// partition's buffers are recycled into a when it is non-nil — the caller
+// must guarantee no live references remain. Levels 0 and 1 keep their
+// universe and single-attribute partitions, which every level above is
+// built from.
 func (n *Node) ReleasePartition(a *partition.Arena) {
-	if n.owned && a != nil {
-		a.Recycle(n.part)
+	if n.Level < 2 {
+		return
 	}
-	n.part = nil
-	n.owned = false
+	if p := n.part.Swap(nil); p != nil && a != nil {
+		a.Recycle(p)
+	}
 	n.classIDs = nil
 }
 
@@ -136,8 +120,8 @@ func Level0(numRows, numAttrs int) *Level {
 		Set:     0,
 		Level:   0,
 		OCValid: NewPairSet(numAttrs),
-		part:    partition.Universe(numRows),
 	}
+	n.part.Store(partition.Universe(numRows))
 	return &Level{Number: 0, Nodes: []*Node{n}, bySet: map[AttrSet]*Node{0: n}}
 }
 
@@ -159,19 +143,17 @@ func (l *Level) Lookup(s AttrSet) *Node {
 	return l.bySet[s]
 }
 
-// Level1 builds the level-1 lattice from per-attribute partitions, linking
-// every singleton to the level-0 node.
-func Level1(l0 *Level, tbl *dataset.Table, singles []*partition.Stripped) *Level {
-	numAttrs := tbl.NumCols()
+// Level1 builds the level-1 lattice from the per-attribute partitions.
+func Level1(singles []*partition.Stripped) *Level {
+	numAttrs := len(singles)
 	lvl := &Level{Number: 1, bySet: make(map[AttrSet]*Node, numAttrs)}
 	for a := 0; a < numAttrs; a++ {
 		n := &Node{
 			Set:     NewAttrSet(a),
 			Level:   1,
 			OCValid: NewPairSet(numAttrs),
-			part:    singles[a],
-			parents: [2]*Node{l0.Nodes[0], l0.Nodes[0]},
 		}
+		n.part.Store(singles[a])
 		lvl.Nodes = append(lvl.Nodes, n)
 		lvl.bySet[n.Set] = n
 	}
@@ -224,23 +206,20 @@ func binomial(n, k int) int64 {
 
 // NextLevel generates level ℓ+1 from level ℓ: every set S with |S| = ℓ+1 is
 // produced exactly once by extending the node of S \ {max attr} with an
-// attribute larger than its maximum; the two generating parents chosen for
-// partition products are S\{c1} and S\{c2} for the two smallest attrs c1, c2
-// of S (both exist in level ℓ because levels are generated exhaustively).
-// Partitions are NOT computed here; see Node.Partition.
+// attribute larger than its maximum; the generating parent whose partition
+// Π_S is split from is S\{c1} for the smallest attr c1 of S (it exists in
+// level ℓ because levels are generated exhaustively). Partitions are NOT
+// computed here; see Node.Partition.
 func NextLevel(cur *Level, numAttrs int) *Level {
 	next := &Level{Number: cur.Number + 1, bySet: make(map[AttrSet]*Node)}
 	for _, n := range cur.Nodes {
 		for c := n.Set.Max() + 1; c < numAttrs; c++ {
 			s := n.Set.Add(c)
-			attrs := s.Attrs()
-			p0 := cur.bySet[s.Remove(attrs[0])]
-			p1 := cur.bySet[s.Remove(attrs[1])]
 			child := &Node{
 				Set:     s,
 				Level:   next.Number,
 				OCValid: NewPairSet(numAttrs),
-				parents: [2]*Node{p0, p1},
+				parent:  cur.bySet[s.Remove(s.Min())],
 			}
 			next.Nodes = append(next.Nodes, child)
 			next.bySet[s] = child

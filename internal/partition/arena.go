@@ -1,10 +1,15 @@
 package partition
 
-import "sync"
+import (
+	"sync"
 
-// ProductScratch holds the reusable probe state of the TANE partition
-// product: a stamped row→class array replacing the map probe, and stamped
-// per-class subgroup slots replacing the per-class sort. Stamps (epoch for
+	"aod/internal/dataset"
+)
+
+// ProductScratch holds the reusable probe state of the partition kernels: a
+// stamped row→class array replacing the map probe of the TANE product, and
+// stamped per-key subgroup slots replacing the per-class sort (keys are
+// other-classes for Product, column ranks for SplitBy). Stamps (epoch for
 // rows, generation for subgroup slots) make resets O(1) instead of O(n).
 // A zero ProductScratch is ready to use; it is not safe for concurrent use.
 type ProductScratch struct {
@@ -13,8 +18,8 @@ type ProductScratch struct {
 	otherOf  []int32
 	rowStamp []int32
 	epoch    int32
-	// subOf[otherClass] is the subgroup slot assigned within the current
-	// p-class, valid only when subStamp[otherClass] == subGen.
+	// subOf[key] is the subgroup slot assigned within the current p-class,
+	// valid only when subStamp[key] == subGen.
 	subOf    []int32
 	subStamp []int32
 	subGen   int32
@@ -55,6 +60,24 @@ func (s *ProductScratch) stamp(q *Stripped) {
 	}
 }
 
+// keySlots sizes the subgroup probe for keys in [0, n) and the per-slot
+// counters for up to n subgroups. A split keys subgroups by column rank, so
+// it needs one slot per distinct value — which may exceed the partition's
+// row count.
+func (s *ProductScratch) keySlots(n int) {
+	if cap(s.subOf) < n {
+		s.subOf = make([]int32, n)
+		s.subStamp = make([]int32, n)
+		s.subGen = 0
+	}
+	s.subOf = s.subOf[:n]
+	s.subStamp = s.subStamp[:n]
+	if len(s.subCount) < n {
+		s.subCount = make([]int32, n)
+		s.subStart = make([]int32, n)
+	}
+}
+
 // nextClass opens a fresh subgroup generation for the next p-class.
 func (s *ProductScratch) nextClass() {
 	s.subGen++
@@ -64,10 +87,10 @@ func (s *ProductScratch) nextClass() {
 	}
 }
 
-// Arena recycles partition buffers and product scratch across calls. The
+// Arena recycles partition buffers and split scratch across calls. The
 // discovery engine holds one arena per run: released lattice-level
 // partitions return their CSR buffers to the arena and the next level's
-// products reuse them, so steady-state traversal allocates nearly nothing.
+// splits reuse them, so steady-state traversal allocates nearly nothing.
 // An Arena is safe for concurrent use (the parallel engine's workers share
 // one); the zero value is ready to use.
 //
@@ -100,19 +123,19 @@ func NewArenaLimit(maxBytes int64) *Arena {
 	return &Arena{limit: maxBytes}
 }
 
-// Product computes p · q into a partition drawn from the arena, using pooled
-// scratch. The result must be returned with Recycle once unreferenced for
-// the arena to reuse its buffers.
-func (a *Arena) Product(p, q *Stripped) *Stripped {
+// Split computes p.SplitBy(col) into a partition drawn from the arena, using
+// pooled scratch. The result must be returned with Recycle once unreferenced
+// for the arena to reuse its buffers.
+func (a *Arena) Split(p *Stripped, col *dataset.Column) *Stripped {
 	s := a.GetScratch()
 	out := a.GetStripped()
-	p.ProductInto(q, s, out)
+	p.SplitInto(col, s, out)
 	a.PutScratch(s)
 	return out
 }
 
 // GetStripped returns a recycled (or fresh) partition whose buffers are
-// reused by ProductInto.
+// reused by SplitInto or ProductInto.
 func (a *Arena) GetStripped() *Stripped {
 	if a.limit > 0 {
 		a.mu.Lock()
@@ -168,7 +191,7 @@ func (a *Arena) RetainedBytes() int64 {
 	return a.freeBytes
 }
 
-// GetScratch returns a recycled (or fresh) product scratch.
+// GetScratch returns a recycled (or fresh) split/product scratch.
 func (a *Arena) GetScratch() *ProductScratch {
 	if v := a.scratch.Get(); v != nil {
 		return v.(*ProductScratch)

@@ -1,7 +1,9 @@
 // Package partition implements the equivalence-class machinery of Def. 2.8:
-// stripped partitions (position-list indexes, PLIs) over attribute sets, and
-// the linear-time partition product used by level-wise lattice traversal
-// (after TANE, Huhtala et al. 1999, which the paper's framework builds on).
+// stripped partitions (position-list indexes, PLIs) over attribute sets, the
+// linear-time split that level-wise lattice traversal builds Π_S with (one
+// parent partition refined by one column's ranks), and the TANE partition
+// product it replaces (Huhtala et al. 1999, which the paper's framework
+// builds on).
 //
 // A stripped partition omits singleton equivalence classes: a tuple alone in
 // its class can participate in no split and no swap, so every validator in
@@ -10,9 +12,9 @@
 // Partitions use a flat CSR (compressed-sparse-row) layout: one contiguous
 // row buffer plus class offsets. Compared to a [][]int32 jagged layout this
 // keeps every class of a partition in one cache-friendly allocation, lets
-// Product write its output with two linear passes per class and zero
-// per-class allocations, and lets an Arena recycle whole partitions between
-// lattice levels.
+// SplitBy and Product write their output with two linear passes per class
+// and zero per-class allocations, and lets an Arena recycle whole partitions
+// between lattice levels.
 package partition
 
 import (
@@ -207,7 +209,8 @@ func FromRowSignature(sig []int64, n int) *Stripped {
 // Product computes the stripped partition Π_{X∪Y} from Π_X = p and Π_Y =
 // other. It is the convenience form of ProductInto: scratch comes from a
 // shared pool and the result is freshly allocated (three allocations total).
-// Hot loops should hold a ProductScratch and output buffers instead.
+// Discovery itself builds partitions with SplitBy, which needs one parent
+// instead of two.
 func (p *Stripped) Product(other *Stripped) *Stripped {
 	s := defaultArena.GetScratch()
 	out := &Stripped{}
@@ -288,6 +291,89 @@ func (p *Stripped) ProductInto(other *Stripped, s *ProductScratch, out *Stripped
 	return out
 }
 
+// SplitBy computes Π_{X∪{c}} from p = Π_X and the rank-encoded column c. It
+// is the convenience form of SplitInto: scratch comes from a shared pool and
+// the result is freshly allocated.
+func (p *Stripped) SplitBy(col *dataset.Column) *Stripped {
+	s := defaultArena.GetScratch()
+	out := &Stripped{}
+	p.SplitInto(col, s, out)
+	defaultArena.PutScratch(s)
+	return out
+}
+
+// SplitInto computes Π_{X∪{c}} into out by splitting each class of p = Π_X
+// by the ranks of column c, in O(‖p‖) time: rows of one p-class agreeing on
+// c are exactly the rows agreeing on X∪{c}. Subgroups take slots in
+// first-occurrence order and rows unique in their class are stripped, so for
+// any Y ⊆ X∪{c} with c ∈ Y the output is byte-identical to
+// p.ProductInto(Π_Y) — same classes, same rows, same order — without the
+// pass that stamps Π_Y's classes onto rows. Building Π_S as
+// Π_{S∖{c₁}}.SplitBy(c₁) therefore reproduces the classic two-parent lattice
+// product Π_{S∖{c₁}}·Π_{S∖{c₂}} from one parent. With warm scratch and a
+// previously used out, the call performs zero allocations. It returns out.
+func (p *Stripped) SplitInto(col *dataset.Column, s *ProductScratch, out *Stripped) *Stripped {
+	if p.N != col.Len() {
+		panic(fmt.Sprintf("partition: split of a partition over %d rows by a column of %d", p.N, col.Len()))
+	}
+	ranks := col.Ranks()
+	s.keySlots(col.NumDistinct())
+	out.reset(p.N, len(p.rows))
+
+	for ci := 0; ci+1 < len(p.offsets); ci++ {
+		cls := p.rows[p.offsets[ci]:p.offsets[ci+1]]
+		if len(cls) == 2 {
+			// The commonest class deep in the lattice: it survives whole or
+			// not at all.
+			if ranks[cls[0]] == ranks[cls[1]] {
+				out.rows = append(out.rows, cls[0], cls[1])
+				out.offsets = append(out.offsets, int32(len(out.rows)))
+			}
+			continue
+		}
+		// Pass 1: give each rank in cls a subgroup slot in first-occurrence
+		// order and count its rows.
+		s.nextClass()
+		numSub := 0
+		for _, row := range cls {
+			r := ranks[row]
+			if s.subStamp[r] != s.subGen {
+				s.subStamp[r] = s.subGen
+				s.subOf[r] = int32(numSub)
+				s.subCount[numSub] = 0
+				numSub++
+			}
+			s.subCount[s.subOf[r]]++
+		}
+		// Lay out the surviving subgroups (size >= 2) in the output CSR.
+		cur := int32(len(out.rows))
+		emitted := false
+		for sub := 0; sub < numSub; sub++ {
+			if s.subCount[sub] >= 2 {
+				s.subStart[sub] = cur
+				cur += s.subCount[sub]
+				out.offsets = append(out.offsets, cur)
+				emitted = true
+			} else {
+				s.subStart[sub] = -1
+			}
+		}
+		if !emitted {
+			continue
+		}
+		// Pass 2: scatter rows to their subgroup slots in ascending order.
+		out.rows = out.rows[:cur]
+		for _, row := range cls {
+			sub := s.subOf[ranks[row]]
+			if at := s.subStart[sub]; at >= 0 {
+				out.rows[at] = row
+				s.subStart[sub] = at + 1
+			}
+		}
+	}
+	return out
+}
+
 // ClassIDs returns a per-row class identifier: rows in the i-th class map to
 // int32(i); stripped (singleton) rows map to -1. The slice has length N.
 func (p *Stripped) ClassIDs() []int32 {
@@ -330,49 +416,6 @@ func (p *Stripped) Refines(q *Stripped) bool {
 		}
 	}
 	return true
-}
-
-// RawCSR exposes the flat CSR buffers for serialization: the concatenated
-// class rows and the offsets array (with its trailing sentinel). Both slices
-// are views into the partition and must not be modified.
-func (p *Stripped) RawCSR() (rows, offsets []int32) { return p.rows, p.offsets }
-
-// FromCSR builds a stripped partition over n rows directly from CSR buffers
-// (taking ownership of both slices), validating every structural invariant a
-// decoder needs before the partition can be probed: monotone offsets
-// bracketing rows exactly, classes of at least two rows each, and row ids
-// ascending within a class and in [0, n). Class order is preserved exactly —
-// fold products emit classes in discovery order, and a shipped partition must
-// match what the receiver would have folded locally byte for byte. It is the
-// deserialization counterpart of RawCSR.
-func FromCSR(n int, rows, offsets []int32) (*Stripped, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("partition: negative row count %d", n)
-	}
-	if len(offsets) == 0 {
-		if len(rows) != 0 {
-			return nil, fmt.Errorf("partition: %d rows without offsets", len(rows))
-		}
-		return &Stripped{N: n}, nil
-	}
-	if offsets[0] != 0 || int(offsets[len(offsets)-1]) != len(rows) {
-		return nil, fmt.Errorf("partition: offsets [%d..%d] do not bracket %d rows",
-			offsets[0], offsets[len(offsets)-1], len(rows))
-	}
-	for ci := 0; ci+1 < len(offsets); ci++ {
-		lo, hi := offsets[ci], offsets[ci+1]
-		if hi < lo+2 || int(hi) > len(rows) {
-			return nil, fmt.Errorf("partition: class %d spans [%d,%d) over %d rows", ci, lo, hi, len(rows))
-		}
-		last := int32(-1)
-		for _, r := range rows[lo:hi] {
-			if r <= last || int(r) >= n {
-				return nil, fmt.Errorf("partition: row %d out of order or range in class %d", r, ci)
-			}
-			last = r
-		}
-	}
-	return &Stripped{N: n, rows: rows, offsets: offsets}, nil
 }
 
 // Universe returns the trivial partition with a single class containing all n

@@ -30,12 +30,10 @@ type workerClient struct {
 	bw   *bufio.Writer
 
 	// Wire-level telemetry handles, shared with the owning Cluster (nil-safe
-	// when the cluster has no registry). partBytes counts bytes of partition
-	// (parts) frames specifically, a subset of txBytes.
-	txBytes   *telemetry.Counter
-	rxBytes   *telemetry.Counter
-	frames    *telemetry.Counter
-	partBytes *telemetry.Counter
+	// when the cluster has no registry).
+	txBytes *telemetry.Counter
+	rxBytes *telemetry.Counter
+	frames  *telemetry.Counter
 
 	mu   sync.Mutex // serializes request/response exchanges
 	dead atomic.Bool
@@ -49,13 +47,10 @@ func (c *workerClient) kill() {
 	c.conn.Close()
 }
 
-// call sends one frame — optionally preceded by an unanswered preface frame
-// in the same buffered write — and reads the reply, bounded by the per-call
-// timeout and the context (cancellation forces the pending read to fail via
-// an immediate deadline). The preface rides the exchange atomically: a retry
-// or straggler re-dispatch that re-issues the call re-sends it too, so
-// whichever worker answers has seen it.
-func (c *workerClient) call(ctx context.Context, timeout time.Duration, preface, f *frame) (*frame, error) {
+// call sends one frame and reads the reply, bounded by the per-call timeout
+// and the context (cancellation forces the pending read to fail via an
+// immediate deadline).
+func (c *workerClient) call(ctx context.Context, timeout time.Duration, f *frame) (*frame, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead.Load() {
@@ -71,16 +66,6 @@ func (c *workerClient) call(ctx context.Context, timeout time.Duration, preface,
 	c.conn.SetDeadline(deadline)
 	stop := context.AfterFunc(ctx, func() { c.conn.SetDeadline(time.Now().Add(-time.Second)) })
 	defer stop()
-	if preface != nil {
-		n, err := writeFrame(c.bw, preface)
-		if err != nil {
-			c.kill()
-			return nil, err
-		}
-		c.txBytes.Add(uint64(n))
-		c.partBytes.Add(uint64(n))
-		c.frames.Inc()
-	}
 	n, err := writeFrame(c.bw, f)
 	if err != nil {
 		c.kill()
@@ -105,7 +90,7 @@ func (c *workerClient) call(ctx context.Context, timeout time.Duration, preface,
 // handshake runs the hello/dataset exchange on a fresh connection. payload is
 // called lazily, only when this worker's cache misses the fingerprint.
 func (c *workerClient) handshake(ctx context.Context, timeout time.Duration, hello *helloMsg, payload func() (*datasetMsg, error)) error {
-	rf, err := c.call(ctx, timeout, nil, &frame{T: "hello", Hello: hello})
+	rf, err := c.call(ctx, timeout, &frame{T: "hello", Hello: hello})
 	if err != nil {
 		return err
 	}
@@ -120,7 +105,7 @@ func (c *workerClient) handshake(ctx context.Context, timeout time.Duration, hel
 			c.kill()
 			return fmt.Errorf("serializing dataset for %s: %w", c.addr, err)
 		}
-		rf, err = c.call(ctx, timeout, nil, &frame{T: "dataset", Dataset: ds})
+		rf, err = c.call(ctx, timeout, &frame{T: "dataset", Dataset: ds})
 		if err != nil {
 			return err
 		}
@@ -132,15 +117,9 @@ func (c *workerClient) handshake(ctx context.Context, timeout time.Duration, hel
 	return nil
 }
 
-// runLevel processes one level slice on the worker. parts, when non-nil,
-// precedes the level frame in the same exchange (no extra round trip — the
-// worker answers both with the level's single result frame).
-func (c *workerClient) runLevel(ctx context.Context, timeout time.Duration, parts *partsMsg, msg *levelMsg) (*resultMsg, error) {
-	var preface *frame
-	if parts != nil && len(parts.Parts) > 0 {
-		preface = &frame{T: "parts", Parts: parts}
-	}
-	rf, err := c.call(ctx, timeout, preface, &frame{T: "level", Level: msg})
+// runLevel processes one level slice on the worker.
+func (c *workerClient) runLevel(ctx context.Context, timeout time.Duration, msg *levelMsg) (*resultMsg, error) {
+	rf, err := c.call(ctx, timeout, &frame{T: "level", Level: msg})
 	if err != nil {
 		return nil, err
 	}

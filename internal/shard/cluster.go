@@ -89,7 +89,6 @@ type Cluster struct {
 	txBytes    *telemetry.Counter
 	rxBytes    *telemetry.Counter
 	frames     *telemetry.Counter
-	partBytes  *telemetry.Counter
 }
 
 // initMetrics resolves the cluster's metric handles from Config.Metrics.
@@ -104,7 +103,6 @@ func (c *Cluster) initMetrics() {
 	c.txBytes = r.Counter("aod_shard_bytes_total", telemetry.Label("dir", "tx"), "Shard protocol bytes by direction.")
 	c.rxBytes = r.Counter("aod_shard_bytes_total", telemetry.Label("dir", "rx"), "Shard protocol bytes by direction.")
 	c.frames = r.Counter("aod_shard_frames_total", "", "Shard protocol frames sent and received.")
-	c.partBytes = r.Counter("aod_shard_partition_bytes_total", "", "Bytes of coordinator-built partitions shipped in parts frames.")
 }
 
 // New returns a Cluster over TCP worker addresses (host:port).
@@ -165,11 +163,10 @@ func (c *Cluster) note(addr string, fn func(st *WorkerStatus)) {
 // returning a session over the workers that answered. Coordinator-owned
 // policies are stripped from the shipped config (the worker never sees
 // TimeLimit — aborts arrive as canceled calls — nor the coordinator-local
-// sorted-scan and partition-retention knobs).
+// sorted-scan route).
 func (c *Cluster) Open(ctx context.Context, tbl *dataset.Table, cfg core.Config) (core.ShardSession, error) {
 	cfg.TimeLimit = 0
 	cfg.UseSortedScan = false
-	cfg.KeepPartitions = false
 	hello := &helloMsg{
 		Proto:       protoVersion,
 		Fingerprint: dataset.Fingerprint(tbl),
@@ -210,7 +207,6 @@ func (c *Cluster) Open(ctx context.Context, tbl *dataset.Table, cfg core.Config)
 				addr: addr, conn: conn,
 				br: bufio.NewReader(conn), bw: bufio.NewWriter(conn),
 				txBytes: c.txBytes, rxBytes: c.rxBytes, frames: c.frames,
-				partBytes: c.partBytes,
 			}
 			if err := w.handshake(dctx, c.cfg.DialTimeout, hello, payload); err != nil {
 				c.noteFailure(addr, err)
@@ -294,14 +290,6 @@ type sliceOutcome struct {
 // (first answer wins), and any failure retries the remaining workers before
 // giving up — at which point the caller executes the slice locally.
 func (s *session) RunSlice(ctx context.Context, shard, level int, tasks []core.NodeTask) ([]core.NodeResult, error) {
-	return s.RunSliceParts(ctx, shard, level, tasks, nil)
-}
-
-// RunSliceParts implements core.ShardSessionParts: RunSlice plus
-// coordinator-built context partitions, shipped as a parts frame immediately
-// before the level frame on every dispatch attempt — so a retry or straggler
-// re-dispatch re-ships them to whichever worker actually executes the slice.
-func (s *session) RunSliceParts(ctx context.Context, shard, level int, tasks []core.NodeTask, parts []core.SeedPartition) ([]core.NodeResult, error) {
 	ordered := s.alive()
 	if len(ordered) == 0 {
 		return nil, errors.New("shard: no live workers")
@@ -310,10 +298,6 @@ func (s *session) RunSliceParts(ctx context.Context, shard, level int, tasks []c
 	ordered = append(ordered[start:len(ordered):len(ordered)], ordered[:start]...)
 
 	trace, levelSpan := telemetry.FromContext(ctx)
-	var partsFrame *partsMsg
-	if len(parts) > 0 {
-		partsFrame = &partsMsg{Level: level, Parts: parts}
-	}
 	msg := &levelMsg{Level: level, Tasks: tasks, Trace: trace.ID()}
 	ch := make(chan sliceOutcome, len(ordered))
 	run := func(w *workerClient) {
@@ -325,7 +309,7 @@ func (s *session) RunSliceParts(ctx context.Context, shard, level int, tasks []c
 		span.SetLabel("worker %s", w.addr)
 		span.Attr("tasks", int64(len(tasks)))
 		t0 := time.Now()
-		rs, err := w.runLevel(ctx, s.c.cfg.CallTimeout, partsFrame, msg)
+		rs, err := w.runLevel(ctx, s.c.cfg.CallTimeout, msg)
 		s.c.rpcHist.Observe(time.Since(t0))
 		if err == nil && len(rs.Results) != len(tasks) {
 			err = fmt.Errorf("shard: worker %s returned %d results for %d tasks", w.addr, len(rs.Results), len(tasks))

@@ -1,13 +1,13 @@
-// Binary codec for shard protocol v3 payload frames.
+// Binary codec for shard protocol v4 payload frames.
 //
 // The handshake frames (hello/ack) stay JSON — that is what makes version
 // skew detectable across protocol generations (see protocol.go) — but every
-// payload frame (dataset/parts/level/result) is a compact binary body:
+// payload frame (dataset/level/result) is a compact binary body:
 //
 //	byte 0   binMagic (0xB2; never '{', so JSON and binary frames are
 //	         distinguishable from the first byte)
-//	byte 1   protocol version (3)
-//	byte 2   frame type (binDataset | binLevel | binResult | binParts)
+//	byte 1   protocol version (4)
+//	byte 2   frame type (binDataset | binLevel | binResult)
 //	...      payload
 //
 // Integers are varints (unsigned where the value is a count/bitmask, zigzag
@@ -35,8 +35,6 @@ import (
 
 	"aod/internal/core"
 	"aod/internal/dataset"
-	"aod/internal/lattice"
-	"aod/internal/partition"
 )
 
 const (
@@ -46,7 +44,6 @@ const (
 	binDataset byte = 1
 	binLevel   byte = 2
 	binResult  byte = 3
-	binParts   byte = 4
 )
 
 // maxWireAttrs bounds per-task attribute indexes and mask word counts: the
@@ -380,74 +377,6 @@ func decodeDatasetPayload(r *wireReader) (*datasetMsg, error) {
 			c.Ranks[j] = int32(rk)
 		}
 		m.Cols = append(m.Cols, c)
-	}
-	return m, nil
-}
-
-// --- parts frame ------------------------------------------------------------
-
-// encodePartsPayload ships CSR partitions in the dataset frames' columnar
-// idiom: per partition, the attribute set, the row count, and the raw rows
-// and offsets arrays as count + zigzag varint deltas (rows are ascending
-// within each class and offsets are monotone, so deltas stay small).
-func encodePartsPayload(b []byte, m *partsMsg) []byte {
-	b = appendUvarint(b, uint64(m.Level))
-	b = appendUvarint(b, uint64(len(m.Parts)))
-	for _, sp := range m.Parts {
-		rows, offsets := sp.Part.RawCSR()
-		b = appendUvarint(b, uint64(sp.Set))
-		b = appendUvarint(b, uint64(sp.Part.N))
-		b = appendRows32(b, rows)
-		b = appendRows32(b, offsets)
-	}
-	return b
-}
-
-// decodePartsPayload rebuilds the shipped partitions, rejecting anything
-// partition.FromCSR cannot prove structurally valid (offset brackets, class
-// sizes ≥ 2, row order and range) — a hostile frame can produce an error but
-// never a malformed partition. FuzzDecodePartitionFrame pins totality.
-func decodePartsPayload(r *wireReader) (*partsMsg, error) {
-	lvl, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if lvl > maxWireAttrs {
-		return nil, fmt.Errorf("shard: parts level %d exceeds attribute bound", lvl)
-	}
-	n, err := r.count(4) // set + rowcount + two array counts at minimum
-	if err != nil {
-		return nil, err
-	}
-	m := &partsMsg{Level: int(lvl)}
-	if n > 0 {
-		m.Parts = make([]core.SeedPartition, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		set, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		nrows, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nrows > uint64(maxFrameBytes) {
-			return nil, fmt.Errorf("shard: partition row count %d exceeds frame limit", nrows)
-		}
-		rows, err := r.rows32()
-		if err != nil {
-			return nil, err
-		}
-		offsets, err := r.rows32()
-		if err != nil {
-			return nil, err
-		}
-		p, err := partition.FromCSR(int(nrows), rows, offsets)
-		if err != nil {
-			return nil, fmt.Errorf("shard: parts frame entry %d: %w", i, err)
-		}
-		m.Parts = append(m.Parts, core.SeedPartition{Set: lattice.AttrSet(set), Part: p})
 	}
 	return m, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"aod/internal/core"
 	"aod/internal/dataset"
-	"aod/internal/partition"
 	"aod/internal/telemetry"
 )
 
@@ -29,8 +28,6 @@ func reencodable(f *frame) bool {
 	switch f.T {
 	case "dataset":
 		return f.Dataset != nil
-	case "parts":
-		return f.Parts != nil
 	case "level":
 		return f.Level != nil
 	case "result":
@@ -141,101 +138,6 @@ func FuzzDecodeTasks(f *testing.F) {
 		}
 		if !reflect.DeepEqual(tasks, tasks2) {
 			t.Fatalf("task round trip diverged:\n first %+v\nsecond %+v", tasks, tasks2)
-		}
-	})
-}
-
-// FuzzDecodePartitionFrame drills into the v3 parts frame: decoding arbitrary
-// bytes through the full frame path never panics, any partition the decoder
-// accepts passes partition.FromCSR's structural validation of its own CSR
-// buffers (the "hostile frames error, never produce a malformed partition"
-// contract), and accepted frames re-encode byte-idempotently.
-func FuzzDecodePartitionFrame(f *testing.F) {
-	mkPart := func(n int, rows, offsets []int32) *partition.Stripped {
-		p, err := partition.FromCSR(n, rows, offsets)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return p
-	}
-	// Valid frames: a single two-class partition, a fully stripped partition
-	// (no classes survive), and classes in fold-discovery order rather than
-	// first-row order — the exact shape ProductInto emits.
-	f.Add(encodeBody(f, &frame{T: "parts", Parts: &partsMsg{Level: 2, Parts: []core.SeedPartition{
-		{Set: 3, Part: mkPart(6, []int32{0, 2, 4, 1, 5}, []int32{0, 3, 5})},
-	}}}))
-	valid := encodeBody(f, &frame{T: "parts", Parts: &partsMsg{Level: 3, Parts: []core.SeedPartition{
-		{Set: 7, Part: mkPart(5, nil, nil)},
-		{Set: 11, Part: mkPart(4, []int32{2, 3, 0, 1}, []int32{0, 2, 4})},
-		{Set: 13, Part: mkPart(9, []int32{1, 4, 8, 0, 2, 6}, []int32{0, 3, 6})},
-	}}})
-	f.Add(valid)
-	// Near-misses walking every rejection branch: version skew one ahead and
-	// one behind (a v2 peer's bytes must error, not garbage-decode), a
-	// truncated body, an empty payload, and structurally invalid CSR shapes
-	// the decoder must refuse (rows out of order within a class, a singleton
-	// class, offsets that do not bracket the rows).
-	skewNew := append([]byte(nil), valid...)
-	skewNew[1] = protoVersion + 1
-	f.Add(skewNew)
-	skewOld := append([]byte(nil), valid...)
-	skewOld[1] = protoVersion - 1
-	f.Add(skewOld)
-	f.Add(valid[:len(valid)-3])
-	f.Add([]byte{binMagic, protoVersion, binParts})
-	rawParts := func(level, count uint64, mut func(b []byte) []byte) []byte {
-		b := []byte{binMagic, protoVersion, binParts}
-		b = appendUvarint(b, level)
-		b = appendUvarint(b, count)
-		return mut(b)
-	}
-	f.Add(rawParts(2, 1, func(b []byte) []byte {
-		b = appendUvarint(b, 3) // set
-		b = appendUvarint(b, 6) // n
-		b = appendRows32(b, []int32{5, 1, 2})
-		return appendRows32(b, []int32{0, 3})
-	}))
-	f.Add(rawParts(2, 1, func(b []byte) []byte {
-		b = appendUvarint(b, 3)
-		b = appendUvarint(b, 6)
-		b = appendRows32(b, []int32{0, 1, 2})
-		return appendRows32(b, []int32{0, 1, 3}) // singleton first class
-	}))
-	f.Add(rawParts(2, 1, func(b []byte) []byte {
-		b = appendUvarint(b, 3)
-		b = appendUvarint(b, 6)
-		b = appendRows32(b, []int32{0, 1, 2})
-		return appendRows32(b, []int32{1, 3}) // offsets do not start at 0
-	}))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := decodeFrame(data) // must never panic
-		if err != nil || fr.T != "parts" || fr.Parts == nil {
-			return
-		}
-		for i, sp := range fr.Parts.Parts {
-			if sp.Part == nil {
-				t.Fatalf("accepted parts frame holds nil partition at %d", i)
-			}
-			rows, offsets := sp.Part.RawCSR()
-			if _, err := partition.FromCSR(sp.Part.N, rows, offsets); err != nil {
-				t.Fatalf("accepted partition %d fails its own revalidation: %v", i, err)
-			}
-		}
-		var buf1 bytes.Buffer
-		if _, err := writeFrame(&buf1, fr); err != nil {
-			t.Fatalf("re-encoding an accepted parts frame: %v", err)
-		}
-		fr2, err := decodeFrame(buf1.Bytes()[4:])
-		if err != nil {
-			t.Fatalf("re-decoding a parts frame the codec itself produced: %v", err)
-		}
-		var buf2 bytes.Buffer
-		if _, err := writeFrame(&buf2, fr2); err != nil {
-			t.Fatalf("re-encoding a decoded parts frame: %v", err)
-		}
-		if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-			t.Fatalf("parts encode∘decode not idempotent:\n first %x\nsecond %x", buf1.Bytes(), buf2.Bytes())
 		}
 	})
 }

@@ -19,27 +19,20 @@
 //	C → dataset (columnar rank buffers; only when needDataset)
 //	W → ack     {ok}
 //	repeat:
-//	  C → parts  (coordinator-built context partitions; optional, unanswered)
 //	  C → level  (flat task records)
 //	  W → result (flat result records)
 //
 // Framing is a 4-byte big-endian length prefix followed by one frame body.
-// Protocol v3 uses two body encodings, distinguishable by the first byte:
+// Protocol v4 uses two body encodings, distinguishable by the first byte:
 //
 //   - hello and ack are JSON (body starts with '{'). Keeping the handshake
 //     JSON is what makes version skew an explicit rejection rather than a
 //     garbage decode: any generation of this protocol can parse any other
 //     generation's hello, see a proto number it does not speak, and answer
 //     with a clear in-band ack error.
-//   - dataset, parts, level, and result are compact binary (body starts with
-//     binMagic, 0xB2 — see codec.go), legal only after a successful v3
+//   - dataset, level, and result are compact binary (body starts with
+//     binMagic, 0xB2 — see codec.go), legal only after a successful v4
 //     handshake.
-//
-// A parts frame is fire-and-forget: it carries CSR partitions the coordinator
-// already built for the level that immediately follows it, seeding the
-// worker's fold memo so the level's tasks skip the recursive re-fold from
-// single-attribute partitions. It never gets its own reply — the level's
-// result frame answers for the pair — so shipping adds zero round trips.
 //
 // Errors are in-band (ack.error / result.error); transport failures surface
 // as read/write errors and mark the worker dead for the session.
@@ -60,8 +53,9 @@ import (
 // hello whose version it does not speak, and the coordinator treats that
 // worker as unusable. Version 2 replaced the JSON payload frames of v1 with
 // the binary codec in codec.go (columnar datasets, flat task/result records);
-// version 3 added the parts frame (coordinator-shipped context partitions).
-const protoVersion = 3
+// version 3 added a parts frame of coordinator-built context partitions, and
+// version 4 removed it again: workers fold every partition they read.
+const protoVersion = 4
 
 // maxFrameBytes bounds a single frame (the dataset frame dominates; task and
 // result frames are small). Oversized frames poison the connection.
@@ -76,7 +70,6 @@ type frame struct {
 	Hello   *helloMsg   `json:"hello,omitempty"`
 	Ack     *ackMsg     `json:"ack,omitempty"`
 	Dataset *datasetMsg `json:"-"`
-	Parts   *partsMsg   `json:"-"`
 	Level   *levelMsg   `json:"-"`
 	Result  *resultMsg  `json:"-"`
 }
@@ -107,16 +100,6 @@ type ackMsg struct {
 type datasetMsg struct {
 	Rows int
 	Cols []dataset.ColumnData
-}
-
-// partsMsg ships coordinator-built context partitions for the level frame
-// that follows it on the same connection: the worker installs them into its
-// fold memo, so the level's tasks resolve those sets by lookup instead of
-// re-folding them from single-attribute partitions. Level is the lattice
-// level the partitions were shipped for (a cross-check, not a key).
-type partsMsg struct {
-	Level int
-	Parts []core.SeedPartition
 }
 
 // levelMsg carries one contiguous slice of a lattice level. Trace, when
@@ -151,8 +134,6 @@ func writeFrame(w io.Writer, f *frame) (int, error) {
 		body = js
 	case "dataset":
 		body = encodeDatasetPayload([]byte{binMagic, protoVersion, binDataset}, f.Dataset)
-	case "parts":
-		body = encodePartsPayload([]byte{binMagic, protoVersion, binParts}, f.Parts)
 	case "level":
 		body = encodeLevelPayload([]byte{binMagic, protoVersion, binLevel}, f.Level)
 	case "result":
@@ -226,9 +207,6 @@ func decodeFrame(body []byte) (*frame, error) {
 	case binDataset:
 		f.T = "dataset"
 		f.Dataset, err = decodeDatasetPayload(rd)
-	case binParts:
-		f.T = "parts"
-		f.Parts, err = decodePartsPayload(rd)
 	case binLevel:
 		f.T = "level"
 		f.Level, err = decodeLevelPayload(rd)

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"aod/internal/core"
 	"aod/internal/dataset"
 	"aod/internal/gen"
+	"aod/internal/partition"
 )
 
 // discoverWith runs the pipeline under the given executor.
@@ -62,11 +64,14 @@ func requireIdentical(t *testing.T, label string, want, got *core.Result) {
 // TestExecutorEquivalenceMatrix pins Serial ≡ Pool ≡ Sharded(loopback) —
 // results in exact discovery order and identical non-timing stats — across
 // every validator, with sampling, bidirectional search, OFD reporting, and
-// removal-set collection in the mix.
+// removal-set collection in the mix. The ncvoter table runs 7–9 levels deep,
+// where pool workers share lazily built lattice partitions and shard workers
+// fold long split chains.
 func TestExecutorEquivalenceMatrix(t *testing.T) {
 	tables := map[string]*dataset.Table{
 		"flight":  gen.Flight(gen.FlightConfig{Rows: 300, Attrs: 7, Seed: 11}),
 		"uniform": gen.Uniform(200, 6, 4, 7),
+		"ncvoter": gen.NCVoter(gen.NCVoterConfig{Rows: 1200, Attrs: 10, Seed: 5}),
 	}
 	configs := map[string]core.Config{
 		"exact":     {Validator: core.ValidatorExact, IncludeOFDs: true},
@@ -101,6 +106,74 @@ func TestExecutorEquivalenceMatrix(t *testing.T) {
 				requireIdentical(t, tname+"/"+cname+"/"+ename, want, got)
 			}
 		}
+	}
+}
+
+// TestShardedFoldEquivalence runs a table large enough that several workers
+// each fold deep context partitions from their cached single-column
+// partitions, with the pool at full width (quantum -1, so every level splits
+// into one slice per worker): the result is byte-identical to the serial
+// run, including under a forced straggler whose slices are re-dispatched.
+func TestShardedFoldEquivalence(t *testing.T) {
+	tbl := gen.Flight(gen.FlightConfig{Rows: 2500, Attrs: 6, Seed: 17})
+	cfg := core.Config{Threshold: 0.10, Validator: core.ValidatorOptimal, IncludeOFDs: true, CollectRemovalSets: true}
+	want := discoverWith(t, tbl, cfg, core.Serial())
+
+	cases := map[string]func() []*Worker{
+		"lb3": func() []*Worker {
+			return []*Worker{NewWorker(WorkerOptions{}), NewWorker(WorkerOptions{}), NewWorker(WorkerOptions{})}
+		},
+		"straggler": func() []*Worker {
+			return []*Worker{
+				NewWorker(WorkerOptions{}),
+				NewWorker(WorkerOptions{LevelHook: func(level, tasks int) error {
+					time.Sleep(15 * time.Millisecond)
+					return nil
+				}}),
+				NewWorker(WorkerOptions{}),
+			}
+		},
+	}
+	for name, mk := range cases {
+		workers := mk()
+		var clusterCfg Config
+		if name == "straggler" {
+			clusterCfg.StragglerAfter = 5 * time.Millisecond
+		}
+		cluster := NewLoopback(clusterCfg, workers)
+		got := discoverWith(t, tbl, cfg, core.ShardedQuantum(cluster, -1))
+		requireIdentical(t, "fold/"+name, want, got)
+		for i, w := range workers {
+			if w.TasksRun() == 0 {
+				t.Errorf("%s: worker %d ran no tasks — the level was not split across workers", name, i)
+			}
+		}
+		cluster.Close()
+	}
+}
+
+// TestShardedWarmEqualsCold runs a full-width sharded job twice through one
+// shared PreparedTable and bounded arena — the server's warm path — against
+// a cold serial run: all reports must be identical.
+func TestShardedWarmEqualsCold(t *testing.T) {
+	tbl := gen.Flight(gen.FlightConfig{Rows: 2500, Attrs: 6, Seed: 29})
+	cfg := core.Config{Threshold: 0.10, Validator: core.ValidatorOptimal, IncludeOFDs: true}
+	want := discoverWith(t, tbl, cfg, core.Serial())
+
+	prep := core.Prepare(tbl)
+	arena := partition.NewArenaLimit(32 << 20)
+	for run := 0; run < 2; run++ {
+		cluster := NewLoopback(Config{}, []*Worker{NewWorker(WorkerOptions{}), NewWorker(WorkerOptions{})})
+		res, err := core.Pipeline{
+			Executor: core.ShardedQuantum(cluster, -1),
+			Prepared: prep,
+			Arena:    arena,
+		}.Run(context.Background(), tbl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, fmt.Sprintf("warm run %d", run), want, res)
+		cluster.Close()
 	}
 }
 

@@ -50,7 +50,6 @@ type Worker struct {
 	levelsRun    atomic.Uint64
 	tasksRun     atomic.Uint64
 	datasetLoads atomic.Uint64
-	partsSeeded  atomic.Uint64
 
 	// Wire-level counters (bytes and frames across all connections), the
 	// worker-side mirror of the cluster's aod_shard_* metrics.
@@ -83,7 +82,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 		r.CounterFunc("aodworker_levels_total", "", "Level slices processed.", w.levelsRun.Load)
 		r.CounterFunc("aodworker_tasks_total", "", "Node tasks processed.", w.tasksRun.Load)
 		r.CounterFunc("aodworker_dataset_loads_total", "", "Dataset payloads shipped to this worker.", w.datasetLoads.Load)
-		r.CounterFunc("aodworker_partitions_seeded_total", "", "Coordinator-shipped partitions accepted into fold memos.", w.partsSeeded.Load)
 		r.CounterFunc("aod_shard_bytes_total", telemetry.Label("dir", "tx"), "Shard protocol bytes by direction.", w.bytesTx.Load)
 		r.CounterFunc("aod_shard_bytes_total", telemetry.Label("dir", "rx"), "Shard protocol bytes by direction.", w.bytesRx.Load)
 		r.CounterFunc("aod_shard_frames_total", "", "Shard protocol frames sent and received.", w.wireFrames.Load)
@@ -102,10 +100,6 @@ func (w *Worker) CachedDatasets() int {
 
 // TasksRun returns the number of node tasks processed since start.
 func (w *Worker) TasksRun() uint64 { return w.tasksRun.Load() }
-
-// PartitionsSeeded returns how many coordinator-shipped partitions this
-// worker has accepted into task-runner fold memos.
-func (w *Worker) PartitionsSeeded() uint64 { return w.partsSeeded.Load() }
 
 // DatasetLoads returns how many times a dataset payload was shipped to this
 // worker — the fingerprint handshake keeps it at one per distinct dataset,
@@ -154,25 +148,11 @@ func (w *Worker) ServeConn(conn net.Conn) {
 	// so each slice reports its predecessor's.
 	sessionStart := time.Now()
 	var prevEncodeNs int64
-	var prevHits, prevBuilds, prevSeeded uint64
+	var prevHits, prevBuilds uint64
 	for {
 		f, err := w.readFrame(br)
 		if err != nil {
 			return // session over (EOF on clean close)
-		}
-		if f.T == "parts" && f.Parts != nil {
-			// Fire-and-forget seeds for the level frame that follows: queue
-			// them on the runner (installed after its next memo rotation) and
-			// keep reading — the level's result frame answers for both.
-			for _, sp := range f.Parts.Parts {
-				if sp.Part.N != runner.NumRows() {
-					w.reply(bw, &frame{T: "result", Result: &resultMsg{Error: fmt.Sprintf(
-						"parts frame partition over %d rows (dataset has %d)", sp.Part.N, runner.NumRows())}})
-					return
-				}
-			}
-			runner.SeedPartitions(f.Parts.Parts)
-			continue
 		}
 		if f.T != "level" || f.Level == nil {
 			w.reply(bw, &frame{T: "result", Result: &resultMsg{Error: fmt.Sprintf("unexpected %q frame", f.T)}})
@@ -195,8 +175,6 @@ func (w *Worker) ServeConn(conn net.Conn) {
 			w.logf("shard worker: connection lost mid-level; dropping slice")
 			return
 		}
-		seeded := runner.SeededPartitions()
-		w.partsSeeded.Add(seeded - prevSeeded)
 		res := &resultMsg{Results: results}
 		if f.Level.Trace != "" {
 			// The echoed trace ID (Label) is the propagation proof the
@@ -208,16 +186,14 @@ func (w *Worker) ServeConn(conn net.Conn) {
 				StartNs: int64(execStart),
 				DurNs:   int64(execDur),
 				Attrs: map[string]int64{
-					"tasks":            int64(len(f.Level.Tasks)),
-					"partitionHits":    int64(hits - prevHits),
-					"partitionBuilds":  int64(builds - prevBuilds),
-					"partitionsSeeded": int64(seeded - prevSeeded),
-					"prevEncodeNs":     prevEncodeNs,
+					"tasks":           int64(len(f.Level.Tasks)),
+					"partitionHits":   int64(hits - prevHits),
+					"partitionBuilds": int64(builds - prevBuilds),
+					"prevEncodeNs":    prevEncodeNs,
 				},
 			}}
 			prevHits, prevBuilds = hits, builds
 		}
-		prevSeeded = seeded
 		e0 := time.Now()
 		ok := w.reply(bw, &frame{T: "result", Result: res})
 		prevEncodeNs = int64(time.Since(e0))

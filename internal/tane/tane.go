@@ -98,7 +98,7 @@ func Discover(tbl *dataset.Table, cfg Config) (*Result, error) {
 	res := &Result{}
 	v := validate.New()
 	l0 := lattice.Level0(tbl.NumRows(), numAttrs)
-	cur := lattice.Level1(l0, tbl, singles)
+	cur := lattice.Level1(singles)
 	prev := l0
 	maxLevel := numAttrs
 	if cfg.MaxLevel > 0 && cfg.MaxLevel < maxLevel {
@@ -130,7 +130,7 @@ func Discover(tbl *dataset.Table, cfg Config) (*Result, error) {
 					continue // valid with a smaller LHS: non-minimal
 				}
 				parent := prev.Lookup(node.Set.Remove(a))
-				ctx := parent.PartitionIn(arena, singles)
+				ctx := parent.Partition(arena, tbl)
 				candidates++
 				res.Candidates++
 				r := v.ApproxOFD(ctx, tbl.Column(a), validate.Options{Threshold: cfg.Threshold})

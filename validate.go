@@ -130,7 +130,7 @@ func resolve(d *Dataset, context []string, a, b string) (ca, cb int, ctx *partit
 		if i < 0 {
 			return 0, 0, nil, fmt.Errorf("aod: no context column %q", name)
 		}
-		next := arena.Product(ctx, partition.Single(d.table().Column(i)))
+		next := arena.Split(ctx, d.table().Column(i))
 		if k > 0 {
 			arena.Recycle(ctx) // intermediate product: reuse its buffers
 		}
