@@ -44,6 +44,8 @@ const (
 	binDataset byte = 1
 	binLevel   byte = 2
 	binResult  byte = 3
+	// Type 4 carried protocol v3's parts frame; it stays unassigned, so a
+	// body in that layout is refused as an unknown type.
 )
 
 // maxWireAttrs bounds per-task attribute indexes and mask word counts: the

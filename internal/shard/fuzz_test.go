@@ -141,3 +141,73 @@ func FuzzDecodeTasks(f *testing.F) {
 		}
 	})
 }
+
+// retiredBinParts is the binary type byte of protocol v3's parts frame.
+const retiredBinParts byte = 4
+
+// FuzzDecodePartitionFrame pins protocol v4's refusal of the parts frame
+// that v3 coordinators used to ship context partitions in: decoding
+// arbitrary bytes never panics, and no binary body in the retired layout
+// decodes — not a v3 peer's frame, not one stamped with the current or a
+// future version byte, and not a truncated or structurally broken one. Every
+// binary body the decoder does accept is a v4 dataset, level or result frame.
+func FuzzDecodePartitionFrame(f *testing.F) {
+	// partsBody lays out a parts frame as v3 encoded it: level, entry count,
+	// then per entry the attribute set, the row count, and the CSR rows and
+	// offsets arrays.
+	type entry struct {
+		set, n        uint64
+		rows, offsets []int32
+	}
+	partsBody := func(version byte, level uint64, entries ...entry) []byte {
+		b := []byte{binMagic, version, retiredBinParts}
+		b = appendUvarint(b, level)
+		b = appendUvarint(b, uint64(len(entries)))
+		for _, e := range entries {
+			b = appendUvarint(b, e.set)
+			b = appendUvarint(b, e.n)
+			b = appendRows32(b, e.rows)
+			b = appendRows32(b, e.offsets)
+		}
+		return b
+	}
+	// Well-formed v3 frames: a single two-class partition, and a fully
+	// stripped partition next to classes in fold-discovery order.
+	f.Add(partsBody(3, 2, entry{3, 6, []int32{0, 2, 4, 1, 5}, []int32{0, 3, 5}}))
+	multi := []entry{
+		{7, 5, nil, nil},
+		{11, 4, []int32{2, 3, 0, 1}, []int32{0, 2, 4}},
+		{13, 9, []int32{1, 4, 8, 0, 2, 6}, []int32{0, 3, 6}},
+	}
+	valid := partsBody(3, 3, multi...)
+	f.Add(valid)
+	// The same layout stamped with the current and a future version byte,
+	// a truncated body, an empty payload, and the structurally invalid CSR
+	// shapes v3 refused (rows out of order within a class, a singleton
+	// class, offsets that do not start at 0).
+	f.Add(partsBody(protoVersion, 3, multi...))
+	f.Add(partsBody(protoVersion+1, 3, multi...))
+	f.Add(valid[:len(valid)-3])
+	f.Add([]byte{binMagic, protoVersion, retiredBinParts})
+	f.Add(partsBody(protoVersion, 2, entry{3, 6, []int32{5, 1, 2}, []int32{0, 3}}))
+	f.Add(partsBody(protoVersion, 2, entry{3, 6, []int32{0, 1, 2}, []int32{0, 1, 3}}))
+	f.Add(partsBody(protoVersion, 2, entry{3, 6, []int32{0, 1, 2}, []int32{1, 3}}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr, err := decodeFrame(data) // must never panic
+		if err != nil || data[0] != binMagic {
+			return
+		}
+		if data[2] == retiredBinParts {
+			t.Fatalf("decoded a body in the retired parts layout as a %q frame", fr.T)
+		}
+		if data[1] != protoVersion {
+			t.Fatalf("decoded a protocol %d body as a %q frame", data[1], fr.T)
+		}
+		switch fr.T {
+		case "dataset", "level", "result":
+		default:
+			t.Fatalf("binary body decoded as a %q frame", fr.T)
+		}
+	})
+}

@@ -109,12 +109,13 @@ func TestExecutorEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestShardedFoldEquivalence runs a table large enough that several workers
-// each fold deep context partitions from their cached single-column
-// partitions, with the pool at full width (quantum -1, so every level splits
-// into one slice per worker): the result is byte-identical to the serial
+// TestPartitionShippingEquivalence runs the table that engaged partition
+// shipping under protocol v3, now that v4 ships none: with the pool at full
+// width (quantum -1, so every level splits into one slice per worker),
+// several workers each fold deep context partitions from their cached
+// single-column partitions, and the result is byte-identical to the serial
 // run, including under a forced straggler whose slices are re-dispatched.
-func TestShardedFoldEquivalence(t *testing.T) {
+func TestPartitionShippingEquivalence(t *testing.T) {
 	tbl := gen.Flight(gen.FlightConfig{Rows: 2500, Attrs: 6, Seed: 17})
 	cfg := core.Config{Threshold: 0.10, Validator: core.ValidatorOptimal, IncludeOFDs: true, CollectRemovalSets: true}
 	want := discoverWith(t, tbl, cfg, core.Serial())
@@ -152,10 +153,11 @@ func TestShardedFoldEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedWarmEqualsCold runs a full-width sharded job twice through one
-// shared PreparedTable and bounded arena — the server's warm path — against
-// a cold serial run: all reports must be identical.
-func TestShardedWarmEqualsCold(t *testing.T) {
+// TestPartitionShippingWarmEqualsCold runs the former shipping-scale job,
+// full-width sharded, twice through one shared PreparedTable and bounded
+// arena — the server's warm path — against a cold serial run: all reports
+// must be identical.
+func TestPartitionShippingWarmEqualsCold(t *testing.T) {
 	tbl := gen.Flight(gen.FlightConfig{Rows: 2500, Attrs: 6, Seed: 29})
 	cfg := core.Config{Threshold: 0.10, Validator: core.ValidatorOptimal, IncludeOFDs: true}
 	want := discoverWith(t, tbl, cfg, core.Serial())
