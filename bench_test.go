@@ -13,6 +13,7 @@
 package aod
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -301,7 +302,7 @@ func BenchmarkParallelWorkers(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cfg := core.Config{Threshold: 0.10, Validator: core.ValidatorOptimal}
-				if _, err := core.DiscoverParallel(tbl, cfg, workers); err != nil {
+				if _, err := (core.Pipeline{Executor: core.Pool(workers)}).Run(context.Background(), tbl, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

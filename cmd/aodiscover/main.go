@@ -77,7 +77,7 @@ func main() {
 		ctx = telemetry.NewContext(ctx, tr, rootSpan.ID())
 	}
 
-	rep, err := aod.DiscoverStreamContext(ctx, ds, aod.Options{
+	rep, err := aod.DiscoverContext(ctx, ds, aod.Options{
 		Threshold:          *threshold,
 		Algorithm:          alg,
 		MaxLevel:           *maxLevel,
@@ -86,7 +86,7 @@ func main() {
 		TimeLimit:          *timeLimit,
 		Bidirectional:      *bidirectional,
 		Parallelism:        *parallelism,
-	}, nil)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aodiscover:", err)
 		os.Exit(1)

@@ -9,9 +9,8 @@
 //	aodserver [-addr :8711] [-workers N | -workers host:port,...] [-queue N]
 //	          [-cache N] [-max-datasets N] [-max-jobs N] [-max-upload BYTES]
 //	          [-data-dir DIR] [-max-report-bytes N] [-max-queue-wait D]
-//	          [-straggler-after D] [-pprof-addr ADDR]
-//	          [-adaptive] [-serial-cost-max N] [-shard-cost-min N]
-//	          [-shard-quantum N]
+//	          [-straggler-after D] [-shard-quantum N] [-pprof-addr ADDR]
+//	          [-serial-cost-max N] [-shard-cost-min N]
 //
 // -workers accepts either an integer (local discovery worker-pool size, the
 // default GOMAXPROCS) or a comma-separated list of aodworker addresses: then
@@ -19,18 +18,19 @@
 // (datasets ship to each worker once, cached by content fingerprint), with
 // per-shard timeouts, straggler re-dispatch, and local fallback — a dead
 // worker slows jobs down instead of failing them. Per-worker health and
-// assignment counts appear in GET /stats under "shards".
+// assignment counts appear in GET /stats under "shards". The shard pool
+// sizes each job's worker fan-out from its work estimate: one worker per
+// -shard-quantum of work, so small sharded jobs skip the per-worker
+// partition-duplication tax.
 //
-// Executor selection is adaptive by default: each job's work estimate
-// (rows × cols × lattice levels) routes it to the serial in-process executor
-// (at or below -serial-cost-max), the local worker pool (mid-range), or the
-// shard pool (at or above -shard-cost-min, when -workers lists addresses).
-// All three produce identical reports; only latency differs. -adaptive=false
-// restores the pre-adaptive routing (everything sharded when a pool is
-// configured). Sharded jobs additionally size their worker fan-out from the
-// same estimate — one worker per -shard-quantum of work, so small sharded
-// jobs skip the per-worker partition-duplication tax. Routing counts appear
-// in /stats and /metrics as aod_jobs_routed_total{executor=...}.
+// Each job's work estimate (rows × cols × lattice levels) routes it to the
+// serial in-process executor (at or below -serial-cost-max), the local worker
+// pool (mid-range), or the shard pool (at or above -shard-cost-min, when
+// -workers lists addresses). All three produce identical reports; only
+// latency differs. -shard-cost-min -1 with a large -serial-cost-max shards
+// every job when a pool is configured and otherwise runs each job serially
+// unless it asks for parallelism. Routing counts appear in /stats and
+// /metrics as aod_jobs_routed_total{executor=...}.
 //
 // With -data-dir the server is durable: uploaded datasets and completed
 // reports are written through to DIR (atomic write-then-rename, corrupt
@@ -97,10 +97,9 @@ func main() {
 	dataDir := flag.String("data-dir", "", "persist datasets and reports under this directory (empty = in-memory only)")
 	maxReportBytes := flag.Int64("max-report-bytes", 0, "report-store disk budget in bytes; least recently used reports are evicted past it (0 = unbounded; needs -data-dir)")
 	straggler := flag.Duration("straggler-after", 15*time.Second, "re-dispatch a shard slice not answered after this long (sharded mode; negative disables)")
-	adaptive := flag.Bool("adaptive", true, "pick each job's executor (serial/pool/sharded) from its work estimate; false pins the pre-adaptive routing (sharded whenever -workers lists addresses)")
-	serialCostMax := flag.Int64("serial-cost-max", service.DefaultSerialCostMax, "adaptive routing: run jobs with work estimate (rows×cols×levels) at or below this serially (negative = no serial tier)")
-	shardCostMin := flag.Int64("shard-cost-min", service.DefaultShardCostMin, "adaptive routing: dispatch jobs with work estimate at or above this to the shard pool (negative = shard everything)")
-	shardQuantum := flag.Int64("shard-quantum", 0, "sharded jobs engage one worker per this much estimated work, bounded by the pool size (0 = built-in default; negative = always the full pool)")
+	serialCostMax := flag.Int64("serial-cost-max", service.DefaultSerialCostMax, "routing: run jobs with work estimate (rows×cols×levels) at or below this serially (negative = no serial tier)")
+	shardCostMin := flag.Int64("shard-cost-min", service.DefaultShardCostMin, "routing: dispatch jobs with work estimate at or above this to the shard pool (negative = shard everything)")
+	shardQuantum := flag.Int64("shard-quantum", 0, "shard pool: engage one worker per this much estimated work of a job, bounded by the pool size (0 = built-in default; negative = always the full pool)")
 	partitionCache := flag.Int64("partition-cache-bytes", service.DefaultPartitionCacheBytes, "byte budget of the cross-job partition cache and shared arena; repeat jobs over a registered dataset skip cold-start partitioning (negative disables)")
 	maxQueueWait := flag.Duration("max-queue-wait", time.Minute, "age bound for cost-ordered scheduling: a job queued this long runs next regardless of size (negative disables)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it off public interfaces)")
@@ -155,6 +154,7 @@ func main() {
 	var pool *aod.ShardPool
 	if len(shardAddrs) > 0 {
 		pool = aod.DialShardPool(shardAddrs, aod.ShardPoolOptions{
+			WorkQuantum:    *shardQuantum,
 			StragglerAfter: *straggler,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "aodserver: "+format+"\n", args...)
@@ -181,10 +181,8 @@ func main() {
 		Metrics:       metrics,
 		Peers:         peers,
 
-		DisableAdaptive:  !*adaptive,
-		SerialCostMax:    *serialCostMax,
-		ShardCostMin:     *shardCostMin,
-		ShardWorkQuantum: *shardQuantum,
+		SerialCostMax: *serialCostMax,
+		ShardCostMin:  *shardCostMin,
 
 		PartitionCacheBytes: *partitionCache,
 	})

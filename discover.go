@@ -95,8 +95,8 @@ type Options struct {
 	// (Stats.TimedOut set). 0 disables. JSON: integer nanoseconds.
 	TimeLimit time.Duration `json:"timeLimitNs,omitempty"`
 	// Parallelism > 1 validates each lattice level's candidates across that
-	// many workers (0 or 1 = sequential). Results are identical to the
-	// sequential run.
+	// many workers (0 or 1 = sequential) when ShardPool is nil. Results are
+	// identical to the sequential run.
 	Parallelism int `json:"parallelism,omitempty"`
 	// SampleStride > 1 enables hybrid-sampling pre-filtering of AOC
 	// candidates (the paper's future-work direction): candidates whose
@@ -106,18 +106,27 @@ type Options struct {
 	// small completeness risk for validation time.
 	SampleStride int `json:"sampleStride,omitempty"`
 	// SampleSlack is the hybrid-sampling rejection margin
-	// (0 = DefaultSampleSlack).
+	// (0 = DefaultSampleSlack; negative is rejected).
 	SampleSlack float64 `json:"sampleSlack,omitempty"`
 	// Bidirectional additionally searches mixed-direction order
 	// compatibilities "A ∼ B↓" (A ascending, B descending), after the
 	// bidirectional OD framework the paper builds upon.
 	Bidirectional bool `json:"bidirectional,omitempty"`
-	// ShardWorkQuantum sizes the worker fan-out of the sharded path: one
-	// worker is engaged per this much estimated work (EstimateWork units),
-	// bounded by the pool's width. 0 selects the default quantum
-	// (core.DefaultShardWorkQuantum); negative always engages the full pool.
-	// Only DiscoverSharded* honor it.
-	ShardWorkQuantum int64 `json:"shardWorkQuantum,omitempty"`
+
+	// The handles below are run-time wiring, not options: they never change
+	// a report and never serialize.
+
+	// OnLevel, when non-nil, receives a progress event and the partial report
+	// after every completed lattice level; the last event has Final set.
+	OnLevel ProgressFunc `json:"-"`
+	// ShardPool, when non-nil, slices each lattice level across the pool's
+	// workers. Reports are byte-identical to local runs, and every worker
+	// failure degrades to re-dispatch or local execution, so a dying pool
+	// slows a run down rather than failing it.
+	ShardPool *ShardPool `json:"-"`
+	// Warm supplies cross-run state: prepared partitions and a shared arena.
+	// The zero value is a cold run.
+	Warm Warm `json:"-"`
 }
 
 func (o Options) config() core.Config {
@@ -271,8 +280,51 @@ func Discover(d *Dataset, opts Options) (*Report, error) {
 // same contract as a TimeLimit abort. Long-running callers (services, job
 // queues) should prefer this entry point so canceled work stops consuming
 // CPU promptly.
+//
+// It is the one place a run's executor is chosen: the sharded executor when
+// Options.ShardPool is set, the worker pool when Parallelism > 1, the serial
+// executor otherwise. All three produce byte-identical reports.
 func DiscoverContext(ctx context.Context, d *Dataset, opts Options) (*Report, error) {
-	return DiscoverStreamContext(ctx, d, opts, nil)
+	var pipe core.Pipeline
+	switch {
+	case opts.ShardPool != nil:
+		pipe.Executor = core.ShardedQuantum(opts.ShardPool.cluster, opts.ShardPool.quantum)
+	case opts.Parallelism > 1:
+		pipe.Executor = core.Pool(opts.Parallelism)
+	}
+	if opts.Warm.Prepared != nil {
+		pipe.Prepared = opts.Warm.Prepared.prep
+	}
+	if opts.Warm.Arena != nil {
+		pipe.Arena = opts.Warm.Arena.a
+	}
+	names := d.ColumnNames()
+	if onLevel := opts.OnLevel; onLevel != nil {
+		pipe.Sink = func(s core.Snapshot) {
+			// Snapshot slices are copies, so the partial result can be
+			// sorted and converted like a final one.
+			partial := &core.Result{OCs: s.OCs, OFDs: s.OFDs, Stats: s.Stats}
+			onLevel(Progress{
+				Level:              s.Level,
+				MaxLevel:           s.MaxLevel,
+				Nodes:              s.Nodes,
+				Candidates:         s.Candidates,
+				OCsFound:           s.Stats.OCsFound(),
+				OFDsFound:          s.Stats.OFDsFound(),
+				NodesRemaining:     s.NodesRemaining,
+				EstimatedRemaining: s.EstimatedRemaining,
+				LevelTime:          s.LevelTime,
+				LevelValidation:    s.LevelValidation,
+				LevelPartition:     s.LevelPartition,
+				Final:              s.Final,
+			}, buildReport(names, partial))
+		}
+	}
+	res, err := pipe.Run(ctx, d.table(), opts.config())
+	if err != nil {
+		return nil, err
+	}
+	return buildReport(names, res), nil
 }
 
 // Progress describes one completed lattice level of a running discovery.
@@ -308,76 +360,12 @@ type Progress struct {
 	Final bool `json:"final,omitempty"`
 }
 
-// ProgressFunc receives, per completed lattice level, the progress event and
-// the partial report of everything discovered so far. The report is a fresh
-// copy — safe to retain, serve, or mutate. Called synchronously from the
-// discovery run: a slow callback slows discovery, so hand off and return.
+// ProgressFunc (Options.OnLevel) receives, per completed lattice level, the
+// progress event and the partial report of everything discovered so far.
+// The report is a fresh copy — safe to retain, serve, or mutate. Called
+// synchronously from the discovery run: a slow callback slows discovery, so
+// hand off and return.
 type ProgressFunc func(p Progress, partial *Report)
-
-// DiscoverStream is Discover with streaming partial results: onLevel is
-// invoked after every completed lattice level. See DiscoverStreamContext.
-func DiscoverStream(d *Dataset, opts Options, onLevel ProgressFunc) (*Report, error) {
-	return DiscoverStreamContext(context.Background(), d, opts, onLevel)
-}
-
-// DiscoverStreamContext runs discovery with cooperative cancellation and
-// per-level progress events. A nil onLevel is allowed (and costs nothing) —
-// DiscoverContext is exactly that. The last event before return has
-// Progress.Final set.
-func DiscoverStreamContext(ctx context.Context, d *Dataset, opts Options, onLevel ProgressFunc) (*Report, error) {
-	var exec core.Executor
-	if opts.Parallelism > 1 {
-		exec = core.Pool(opts.Parallelism)
-	}
-	return discoverStreamExec(ctx, d, opts, exec, onLevel)
-}
-
-// discoverStreamExec is the shared discovery entry point under an explicit
-// executor (nil = serial): the seam DiscoverStreamContext (serial/pool) and
-// DiscoverShardedStreamContext (shard pool) both run through.
-func discoverStreamExec(ctx context.Context, d *Dataset, opts Options, exec core.Executor, onLevel ProgressFunc) (*Report, error) {
-	return discoverWarmExec(ctx, d, opts, exec, Warm{}, onLevel)
-}
-
-// discoverWarmExec additionally threads warm cross-job state (prepared
-// partitions, shared arena) into the pipeline. A zero Warm is a cold run.
-func discoverWarmExec(ctx context.Context, d *Dataset, opts Options, exec core.Executor, warm Warm, onLevel ProgressFunc) (*Report, error) {
-	cfg := opts.config()
-	pipe := core.Pipeline{Executor: exec}
-	if warm.Prepared != nil {
-		pipe.Prepared = warm.Prepared.prep
-	}
-	if warm.Arena != nil {
-		pipe.Arena = warm.Arena.a
-	}
-	names := d.ColumnNames()
-	if onLevel != nil {
-		pipe.Sink = func(s core.Snapshot) {
-			// Snapshot slices are copies, so the partial result can be
-			// sorted and converted like a final one.
-			partial := &core.Result{OCs: s.OCs, OFDs: s.OFDs, Stats: s.Stats}
-			onLevel(Progress{
-				Level:              s.Level,
-				MaxLevel:           s.MaxLevel,
-				Nodes:              s.Nodes,
-				Candidates:         s.Candidates,
-				OCsFound:           s.Stats.OCsFound(),
-				OFDsFound:          s.Stats.OFDsFound(),
-				NodesRemaining:     s.NodesRemaining,
-				EstimatedRemaining: s.EstimatedRemaining,
-				LevelTime:          s.LevelTime,
-				LevelValidation:    s.LevelValidation,
-				LevelPartition:     s.LevelPartition,
-				Final:              s.Final,
-			}, buildReport(names, partial))
-		}
-	}
-	res, err := pipe.Run(ctx, d.table(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return buildReport(names, res), nil
-}
 
 // EstimateWork is the coarse cost estimate a scheduler can order discovery
 // jobs by before any of them has run: rows × cols × explored levels (the

@@ -181,7 +181,7 @@ func jsonWorkloads(seed int64) []struct {
 		{"discover-pool/n=5000,attrs=10", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DiscoverParallel(ncv5k, core.Config{Threshold: 0.10, Validator: core.ValidatorOptimal}, 4); err != nil {
+				if _, err := (core.Pipeline{Executor: core.Pool(4)}).Run(context.Background(), ncv5k, core.Config{Threshold: 0.10, Validator: core.ValidatorOptimal}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -217,7 +217,7 @@ func jsonWorkloads(seed int64) []struct {
 		{"discover-pool/n=50000,attrs=10", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DiscoverParallel(ncv50k, core.Config{Threshold: 0.10, Validator: core.ValidatorOptimal}, 4); err != nil {
+				if _, err := (core.Pipeline{Executor: core.Pool(4)}).Run(context.Background(), ncv50k, core.Config{Threshold: 0.10, Validator: core.ValidatorOptimal}); err != nil {
 					b.Fatal(err)
 				}
 			}

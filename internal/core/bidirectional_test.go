@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -137,7 +138,7 @@ func TestBidirectionalParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := DiscoverParallel(tbl, cfg, 4)
+	par, err := Pipeline{Executor: Pool(4)}.Run(context.Background(), tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

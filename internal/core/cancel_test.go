@@ -71,7 +71,7 @@ func TestDiscoverContextCancelMidRun(t *testing.T) {
 		return DiscoverContext(ctx, tbl, Config{Threshold: 0.4, Validator: ValidatorIterative})
 	})
 	run("parallel", func(ctx context.Context) (*Result, error) {
-		return DiscoverParallelContext(ctx, tbl, Config{Threshold: 0.4, Validator: ValidatorIterative}, 4)
+		return Pipeline{Executor: Pool(4)}.Run(ctx, tbl, Config{Threshold: 0.4, Validator: ValidatorIterative})
 	})
 }
 

@@ -85,7 +85,8 @@ type Config struct {
 	// by the exact validator.
 	SampleStride int
 	// SampleSlack is the rejection margin for hybrid sampling; 0 means
-	// DefaultSampleSlack.
+	// DefaultSampleSlack. It must not be negative: a negative margin would
+	// reject candidates whose sampled error is within the threshold.
 	SampleSlack float64
 	// DisablePruning is an ablation switch: every candidate is validated
 	// even when minimality/constancy pruning could skip it (reported
@@ -96,8 +97,8 @@ type Config struct {
 	// linear scan of the set-based framework [9] (per-attribute global
 	// orders precomputed once, O(|r|) per candidate) instead of the
 	// per-class sort. Only affects ValidatorExact; results are identical.
-	// Ignored by DiscoverParallel (the lazy order cache is not shared
-	// across workers).
+	// Honoured only by the serial executor (the lazy order cache is not
+	// shared across workers).
 	UseSortedScan bool
 	// Bidirectional additionally searches mixed-direction order
 	// compatibilities X: A ∼ B↓ (A ascending, B descending), after the
@@ -130,6 +131,9 @@ func (c Config) Validate(numAttrs int) error {
 	}
 	if c.MaxLevel < 0 {
 		return fmt.Errorf("core: MaxLevel must be >= 0, got %d", c.MaxLevel)
+	}
+	if c.SampleSlack < 0 {
+		return fmt.Errorf("core: SampleSlack must be >= 0, got %g", c.SampleSlack)
 	}
 	return nil
 }

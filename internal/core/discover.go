@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"aod/internal/dataset"
 	"aod/internal/lattice"
@@ -29,45 +28,20 @@ func DiscoverContext(ctx context.Context, tbl *dataset.Table, cfg Config) (*Resu
 	return Pipeline{}.Run(ctx, tbl, cfg)
 }
 
-// engine is the node-processing stage shared by every executor: it examines
-// the candidates hosted at one lattice node, routing them through the
-// configured validator and the axiom-based pruning, and accumulates
-// dependencies and stats into res. Engines are cheap; a pool executor owns
-// one per worker (Validator scratch is not concurrency-safe), all sharing
-// one traversal.
+// engine is the task-execution stage shared by every executor: it examines
+// the candidates of one NodeTask, routing them through the configured
+// validator and the axiom-based pruning. Engines are cheap; a pool executor
+// owns one per worker (Validator scratch is not concurrency-safe), all
+// sharing one traversal.
 type engine struct {
 	t *traversal
 	v *validate.Validator
-	// res is the accumulation target: the traversal's result under the
-	// serial executor, a worker-local fragment (merged in node order by the
-	// pool executor) otherwise.
-	res *Result
-	// scratch is the engine's reusable NodeResult for the apply-immediately
-	// paths (processNode); executors that retain results across a level use
-	// fresh NodeResults instead.
-	scratch NodeResult
 }
 
-// aborted reports that the run must stop, recording the cause in the
-// engine's stats fragment (merged upward by pool executors).
+// aborted reports that the run must stop. It records nothing: engines may run
+// concurrently, so the executors record the cause once per level.
 func (e *engine) aborted() bool {
-	return e.t.abortedInto(&e.res.Stats)
-}
-
-// processNode examines all candidates hosted at the node through the
-// location-transparent task path: propagate validity state from the parents
-// into a NodeTask (buildTask), validate its candidates (execTask) with
-// partitions resolved from the lattice, and fold the result back into the
-// node and the engine's accumulation target (applyTask). It returns the
-// number of candidates validated (for the early-stop rule). The sharded
-// executor runs the same three stages with execTask on a remote worker.
-func (e *engine) processNode(node *lattice.Node, parents, grandparents *lattice.Level) int {
-	task := buildTask(node, parents, e.t.numAttrs, e.t.cfg.Bidirectional)
-	// The node's result is applied before the next node, so the engine's
-	// scratch NodeResult serves every node without allocating.
-	e.execTask(&task, levelSource{e: e, parents: parents, grandparents: grandparents}, &e.scratch)
-	e.applyTask(node, &task, &e.scratch)
-	return e.scratch.Candidates
+	return e.t.abortedInto(nil)
 }
 
 // columnB returns the B column in the requested direction.
@@ -76,19 +50,6 @@ func (e *engine) columnB(b int, desc bool) *dataset.Column {
 		return e.t.tbl.Column(b).Reversed()
 	}
 	return e.t.tbl.Column(b)
-}
-
-// materialize returns the node's partition, charging the time to build it —
-// or, under the pool, to wait for another worker building it — to the
-// engine's partition time.
-func (e *engine) materialize(node *lattice.Node) *partition.Stripped {
-	if node.HasPartition() {
-		return node.Partition(e.t.arena, e.t.tbl)
-	}
-	t0 := time.Now()
-	p := node.Partition(e.t.arena, e.t.tbl)
-	e.res.Stats.PartitionTime += time.Since(t0)
-	return p
 }
 
 // sampleMinRows is the smallest non-singleton context coverage for which the

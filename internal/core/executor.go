@@ -1,36 +1,141 @@
 package core
 
 import (
-	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
-	"aod/internal/dataset"
 	"aod/internal/lattice"
 	"aod/internal/partition"
 	"aod/internal/validate"
 )
 
-// Serial returns the sequential executor: one engine processes every node of
-// each level in order, accumulating directly into the run's result.
-func Serial() Executor { return &serialExecutor{} }
+// Serial returns the sequential executor: one engine builds, executes and
+// applies the nodes of each level one at a time, reusing a single task and
+// result, so per-node work allocates nothing. It is the only executor that
+// honours Config.UseSortedScan.
+func Serial() Executor { return &localExecutor{workers: 1} }
 
-type serialExecutor struct {
-	eng *engine
+// Pool returns the worker-pool executor: each level's tasks are built in node
+// order, executed by `workers` engines (each owning a validator and scratch)
+// that claim task indexes from a shared counter, and applied in node order,
+// so the result is identical to the serial executor's. This is the
+// shared-memory analogue of the distributed extension the paper lists as
+// future work (after Saxena, Golab & Ilyas, PVLDB 2019 — reference [8]):
+// nodes of a level are independent given the previous level's state, so they
+// partition cleanly across workers. workers <= 0 selects GOMAXPROCS; Pool(1)
+// is Serial().
+func Pool(workers int) Executor {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &localExecutor{workers: workers}
 }
 
-func (s *serialExecutor) prepare(t *traversal) bool {
-	s.eng = &engine{t: t, v: validate.New(), res: t.res}
-	if !t.buildSingles(1) {
+// localExecutor runs levels in process through the task path every executor
+// shares: buildTask in node order, execTask on the engines, applyTask in node
+// order. Context partitions resolve through the lattice (levelSource), whose
+// per-node guard builds each one once however many engines read it.
+type localExecutor struct {
+	workers int
+	engines []*engine
+	// tasks and results are reused across nodes and levels: one slot each
+	// for a single engine, a level's worth for several.
+	tasks   []NodeTask
+	results []NodeResult
+	// next is the index of the next unclaimed task of the running exec call.
+	next atomic.Int64
+}
+
+func (l *localExecutor) prepare(t *traversal) bool {
+	if !t.buildSingles(l.workers) {
 		return false
 	}
-	if t.cfg.UseSortedScan && t.cfg.Validator == ValidatorExact {
+	// The sorted-scan route caches class ids on lattice nodes without a
+	// guard, so only a single engine may take it.
+	if l.workers == 1 && t.cfg.UseSortedScan && t.cfg.Validator == ValidatorExact {
 		t.orders = validate.NewTableOrders(t.tbl)
 	}
+	l.start(t)
 	return true
 }
 
-func (s *serialExecutor) close() {}
+// start gives every worker an engine over the run.
+func (l *localExecutor) start(t *traversal) {
+	l.engines = make([]*engine, l.workers)
+	for i := range l.engines {
+		l.engines[i] = &engine{t: t, v: validate.New()}
+	}
+}
+
+func (l *localExecutor) close() {}
+
+func (l *localExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level) int {
+	src := &levelSource{t: t, parents: prev, grandparents: prev2}
+	step := len(cur.Nodes)
+	if len(l.engines) == 1 {
+		step = 1
+	}
+	for len(l.tasks) < step {
+		l.tasks = append(l.tasks, NodeTask{})
+		l.results = append(l.results, NodeResult{})
+	}
+	candidates := 0
+	for lo := 0; lo < len(cur.Nodes); lo += step {
+		nodes := cur.Nodes[lo:min(lo+step, len(cur.Nodes))]
+		for i, node := range nodes {
+			buildTask(&l.tasks[i], node, prev, t.numAttrs, t.cfg.Bidirectional)
+		}
+		done := l.exec(src, l.tasks[:len(nodes)], l.results[:len(nodes)])
+		for i := 0; i < done; i++ {
+			t.applyTask(nodes[i], &l.tasks[i], &l.results[i])
+			candidates += l.results[i].Candidates
+		}
+		if done < len(nodes) {
+			break
+		}
+	}
+	// Record a deadline/cancellation that landed during the level, so the
+	// pipeline stops before generating the next one.
+	t.abortedInto(&t.res.Stats)
+	return candidates
+}
+
+// exec runs tasks[i] into results[i] on the engines, resolving context
+// partitions through src. The engines claim indexes in order from a shared
+// counter until the tasks run out or the run aborts. The tasks that ran form
+// a prefix of tasks; exec returns its length.
+func (l *localExecutor) exec(src *levelSource, tasks []NodeTask, results []NodeResult) int {
+	l.next.Store(0)
+	if len(l.engines) == 1 || len(tasks) == 1 {
+		l.work(l.engines[0], src, tasks, results)
+	} else {
+		var wg sync.WaitGroup
+		for _, e := range l.engines[1:] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				l.work(e, src, tasks, results)
+			}()
+		}
+		l.work(l.engines[0], src, tasks, results)
+		wg.Wait()
+	}
+	return min(int(l.next.Load()), len(tasks))
+}
+
+// work is one engine's claim loop. Every claimed index below len(tasks) is
+// executed (an abort cuts the task short, not the claim), which is what
+// makes the executed tasks a prefix.
+func (l *localExecutor) work(e *engine, src *levelSource, tasks []NodeTask, results []NodeResult) {
+	for !e.aborted() {
+		i := int(l.next.Add(1)) - 1
+		if i >= len(tasks) {
+			return
+		}
+		e.execTask(&tasks[i], src, &results[i])
+	}
+}
 
 // buildSingles materializes the per-attribute partitions, across `workers`
 // goroutines when workers > 1. Cancellation is polled per column so an abort
@@ -70,137 +175,4 @@ func (t *traversal) buildSingles(workers int) bool {
 	// Some singles may be nil after a cancellation; abort before anything
 	// touches them.
 	return !t.abortedInto(&t.res.Stats)
-}
-
-func (s *serialExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level) int {
-	st := &t.res.Stats
-	candidates := 0
-	for _, node := range cur.Nodes {
-		if s.eng.aborted() {
-			return candidates
-		}
-		st.NodesProcessed++
-		candidates += s.eng.processNode(node, prev, prev2)
-	}
-	// Record a deadline/cancellation that landed after the last node, so the
-	// pipeline stops before generating the next level.
-	s.eng.aborted()
-	return candidates
-}
-
-// Pool returns the worker-pool executor: the nodes of each level fan out
-// across `workers` goroutines (each owning a validator and scratch), and the
-// per-node outputs are merged in node order, so the result is identical to
-// the serial executor's. This is the shared-memory analogue of the
-// distributed extension the paper lists as future work (after Saxena, Golab &
-// Ilyas, PVLDB 2019 — reference [8]): nodes of a level are independent given
-// the previous level's state, so they partition cleanly across workers.
-// workers <= 0 selects GOMAXPROCS.
-func Pool(workers int) Executor {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &poolExecutor{workers: workers}
-}
-
-type poolExecutor struct {
-	workers int
-	engines []*engine // one per worker, reused across levels
-}
-
-// nodeOut is one node's contribution, merged in node order to preserve the
-// sequential deterministic result order.
-type nodeOut struct {
-	ocs        []OC
-	ofds       []OFD
-	candidates int
-	stats      Stats
-}
-
-func (p *poolExecutor) prepare(t *traversal) bool {
-	if !t.buildSingles(p.workers) {
-		return false
-	}
-	p.engines = make([]*engine, p.workers)
-	for i := range p.engines {
-		p.engines[i] = &engine{t: t, v: validate.New()}
-	}
-	return true
-}
-
-func (p *poolExecutor) close() {}
-
-func (p *poolExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level) int {
-	st := &t.res.Stats
-	if t.abortedInto(st) {
-		return 0
-	}
-	// Validate candidates of all nodes concurrently. Each worker owns an
-	// engine (validator + scratch) and materializes the context partitions
-	// its candidates read on demand — the lattice's per-node guard builds
-	// each once, so the pool builds exactly the serial executor's partitions.
-	// Per-node outputs are merged in node order afterwards to preserve the
-	// sequential result order.
-	outs := make([]nodeOut, len(cur.Nodes))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for _, eng := range p.engines {
-		wg.Add(1)
-		go func(eng *engine) {
-			defer wg.Done()
-			for idx := range jobs {
-				eng.res = &Result{}
-				eng.res.Stats.OCsFoundPerLevel = make([]int, t.numAttrs+1)
-				eng.res.Stats.OFDsFoundPerLevel = make([]int, t.numAttrs+1)
-				eng.res.Stats.NodesProcessed = 1
-				c := eng.processNode(cur.Nodes[idx], prev, prev2)
-				outs[idx] = nodeOut{
-					ocs:        eng.res.OCs,
-					ofds:       eng.res.OFDs,
-					candidates: c,
-					stats:      eng.res.Stats,
-				}
-			}
-		}(eng)
-	}
-	for idx := range cur.Nodes {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-
-	candidates := 0
-	for i := range outs {
-		o := &outs[i]
-		t.res.OCs = append(t.res.OCs, o.ocs...)
-		t.res.OFDs = append(t.res.OFDs, o.ofds...)
-		candidates += o.candidates
-		st.merge(&o.stats)
-	}
-	return candidates
-}
-
-// DiscoverParallel runs the same discovery as Discover but validates the
-// candidates of each lattice level concurrently across a worker pool (the
-// Pool executor on the shared pipeline). The result is identical to
-// Discover's — the node-order merge re-establishes the sequential
-// deterministic order; only wall-clock time differs. workers <= 0 selects
-// GOMAXPROCS.
-func DiscoverParallel(tbl *dataset.Table, cfg Config, workers int) (*Result, error) {
-	return DiscoverParallelContext(context.Background(), tbl, cfg, workers)
-}
-
-// DiscoverParallelContext is DiscoverParallel with cooperative cancellation:
-// every worker polls the context between candidate validations, so a
-// canceled run frees its workers within one validation's latency. As in
-// DiscoverContext, cancellation returns the partial result with
-// Stats.Canceled set and a nil error.
-func DiscoverParallelContext(ctx context.Context, tbl *dataset.Table, cfg Config, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return DiscoverContext(ctx, tbl, cfg)
-	}
-	return Pipeline{Executor: Pool(workers)}.Run(ctx, tbl, cfg)
 }

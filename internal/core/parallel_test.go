@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := DiscoverParallel(tbl, cfg, 4)
+			par, err := Pipeline{Executor: Pool(4)}.Run(context.Background(), tbl, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,25 +54,54 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelSingleWorkerDelegates pins that Pool(1) is Serial(): one engine
+// runs node by node, sorted-scan route included, with identical results and
+// non-timing stats.
 func TestParallelSingleWorkerDelegates(t *testing.T) {
 	tbl := paperTable1(t)
-	cfg := Config{Threshold: 0.12, Validator: ValidatorOptimal, IncludeOFDs: true}
-	r, err := DiscoverParallel(tbl, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
+	// Both validator routes give the same results, so the route is checked
+	// on the state prepare builds: the serial-only sorted-scan orders.
+	scan := Config{Validator: ValidatorExact, UseSortedScan: true}
+	for _, tc := range []struct {
+		name   string
+		exec   Executor
+		orders bool
+	}{
+		{"Serial()", Serial(), true},
+		{"Pool(1)", Pool(1), true},
+		{"Pool(2)", Pool(2), false},
+	} {
+		tr := &traversal{tbl: tbl, cfg: scan, numAttrs: tbl.NumCols(), res: &Result{}}
+		if !tc.exec.prepare(tr) {
+			t.Fatalf("%s: prepare aborted", tc.name)
+		}
+		if got := tr.orders != nil; got != tc.orders {
+			t.Errorf("%s: sorted-scan orders built = %v, want %v", tc.name, got, tc.orders)
+		}
 	}
-	s, err := Discover(tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.OCs) != len(s.OCs) {
-		t.Errorf("workers=1: %d OCs vs %d", len(r.OCs), len(s.OCs))
+	for _, cfg := range []Config{
+		{Threshold: 0.12, Validator: ValidatorOptimal, IncludeOFDs: true},
+		{Validator: ValidatorExact, IncludeOFDs: true, UseSortedScan: true},
+	} {
+		r, err := Pipeline{Executor: Pool(1)}.Run(context.Background(), tbl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Pipeline{Executor: Serial()}.Run(context.Background(), tbl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zeroTimes(&r.Stats)
+		zeroTimes(&s.Stats)
+		if !reflect.DeepEqual(r, s) {
+			t.Errorf("cfg %+v: Pool(1) differs from Serial():\npool:   %+v\nserial: %+v", cfg, r, s)
+		}
 	}
 }
 
 func TestParallelDefaultWorkers(t *testing.T) {
 	tbl := paperTable1(t)
-	r, err := DiscoverParallel(tbl, Config{Threshold: 0.12, Validator: ValidatorOptimal}, 0)
+	r, err := Pipeline{Executor: Pool(0)}.Run(context.Background(), tbl, Config{Threshold: 0.12, Validator: ValidatorOptimal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +112,7 @@ func TestParallelDefaultWorkers(t *testing.T) {
 
 func TestParallelConfigError(t *testing.T) {
 	tbl := paperTable1(t)
-	if _, err := DiscoverParallel(tbl, Config{Threshold: -1}, 4); err == nil {
+	if _, err := (Pipeline{Executor: Pool(4)}).Run(context.Background(), tbl, Config{Threshold: -1}); err == nil {
 		t.Error("want config error")
 	}
 }
@@ -95,7 +125,7 @@ func TestParallelOnGeneratedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := DiscoverParallel(tbl, cfg, 8)
+	par, err := Pipeline{Executor: Pool(8)}.Run(context.Background(), tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,11 +60,12 @@ type Snapshot struct {
 // cost.
 type ProgressSink func(Snapshot)
 
-// Executor is the pluggable validation stage of the Pipeline: it owns how the
-// candidates of one lattice level are processed (serially, across a worker
-// pool, or across slices of the level on remote shards). Implementations
-// share the engine's node-processing code (buildTask/execTask/applyTask);
-// only the schedule differs, so every executor produces identical results and
+// Executor is the pluggable validation stage of the Pipeline: it owns where
+// the candidates of one lattice level are validated (in process by one or
+// several engines, or across slices of the level on remote shards). Every
+// executor builds the level's tasks in node order (buildTask), executes them
+// (execTask) and applies the results in node order (applyTask); only where
+// execTask runs differs, so every executor produces identical results and
 // identical (non-timing) stats. Constructors: Serial, Pool, Sharded.
 type Executor interface {
 	// prepare builds the per-attribute partitions and any executor-owned
@@ -80,11 +81,11 @@ type Executor interface {
 	close()
 }
 
-// Pipeline is the unified level-wise traversal that Discover and
-// DiscoverParallel are thin wrappers over: a planner (candidate generation,
-// pruning, early termination — the loop in Run), a pluggable Executor, and an
-// optional ProgressSink invoked at every level boundary. The zero value runs
-// the serial executor with no sink.
+// Pipeline is the unified level-wise traversal that Discover is a thin
+// wrapper over: a planner (candidate generation, pruning, early termination —
+// the loop in Run), a pluggable Executor, and an optional ProgressSink
+// invoked at every level boundary. The zero value runs the serial executor
+// with no sink.
 type Pipeline struct {
 	// Executor processes each level's candidates (nil = Serial()).
 	Executor Executor
@@ -144,16 +145,20 @@ type traversal struct {
 }
 
 // abortedInto reports that the run must stop — the TimeLimit deadline passed
-// or the caller's context was canceled — recording the cause in st. It is
-// polled between candidate validations, so an abort takes effect within one
-// validation's latency.
+// or the caller's context was canceled — recording the cause in st unless st
+// is nil. Engines poll it between candidate validations, so an abort takes
+// effect within one validation's latency.
 func (t *traversal) abortedInto(st *Stats) bool {
 	if !t.deadline.IsZero() && time.Now().After(t.deadline) {
-		st.TimedOut = true
+		if st != nil {
+			st.TimedOut = true
+		}
 		return true
 	}
 	if t.ctx != nil && t.ctx.Err() != nil {
-		st.Canceled = true
+		if st != nil {
+			st.Canceled = true
+		}
 		return true
 	}
 	return false

@@ -37,7 +37,7 @@ func TestSerialParallelStatsIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := DiscoverParallel(tbl, cfg, 4)
+		par, err := Pipeline{Executor: Pool(4)}.Run(context.Background(), tbl, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

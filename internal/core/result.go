@@ -166,34 +166,6 @@ func (r *Result) sortCanonical() {
 // SortCanonical exposes the canonical (level, node, attrs) ordering.
 func (r *Result) SortCanonical() { r.sortCanonical() }
 
-// merge folds a worker-local stats fragment into s: counters and validator
-// times sum, per-level found counts add elementwise, and abort flags OR. It
-// is the single accounting path for every executor — the serial executor
-// accumulates into the run's stats directly; pool workers accumulate
-// fragments that merge here — so serial and parallel runs produce identical
-// non-timing stats by construction. Run-level fields (Rows, Attrs,
-// LevelsProcessed, TotalTime, EarlyStopped) are owned by the pipeline and
-// left untouched.
-func (s *Stats) merge(o *Stats) {
-	s.NodesProcessed += o.NodesProcessed
-	s.OCCandidates += o.OCCandidates
-	s.OFDCandidates += o.OFDCandidates
-	s.OCSkippedMinimality += o.OCSkippedMinimality
-	s.OCSkippedConstancy += o.OCSkippedConstancy
-	s.OFDSkipped += o.OFDSkipped
-	s.OCSampledRejected += o.OCSampledRejected
-	s.ValidationTime += o.ValidationTime
-	s.PartitionTime += o.PartitionTime
-	s.TimedOut = s.TimedOut || o.TimedOut
-	s.Canceled = s.Canceled || o.Canceled
-	for lvl, c := range o.OCsFoundPerLevel {
-		s.OCsFoundPerLevel[lvl] += c
-	}
-	for lvl, c := range o.OFDsFoundPerLevel {
-		s.OFDsFoundPerLevel[lvl] += c
-	}
-}
-
 // OCsFound returns the total number of discovered OCs per the stats.
 func (s *Stats) OCsFound() int {
 	t := 0

@@ -78,9 +78,8 @@ func (p *PreparedTable) NewTaskRunner(cfg Config) (*TaskRunner, error) {
 		arena:    partition.NewArena(),
 		singles:  p.singles,
 		start:    time.Now(),
-		res:      &Result{},
 	}
-	r := &TaskRunner{t: t, eng: &engine{t: t, v: validate.New(), res: t.res}}
+	r := &TaskRunner{t: t, eng: &engine{t: t, v: validate.New()}}
 	r.src = &foldSource{r: r, memo: make(map[lattice.AttrSet]*partition.Stripped)}
 	return r, nil
 }

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"aod/internal/dataset"
 	"aod/internal/lattice"
 	"aod/internal/telemetry"
-	"aod/internal/validate"
 )
 
 // ShardPool provisions shard workers for one discovery run. It is
@@ -54,7 +52,7 @@ type ShardSession interface {
 // commit strictly in node order through applyTask, so the pipelined schedule
 // stays byte-identical to Serial ≡ Pool (the executor equivalence matrix is
 // the contract).
-func Sharded(pool ShardPool) Executor { return &shardedExecutor{pool: pool, quantum: -1} }
+func Sharded(pool ShardPool) Executor { return ShardedQuantum(pool, -1) }
 
 // DefaultShardWorkQuantum is the estimated work (rows × attrs × levels, see
 // EstimateCost) each engaged shard worker must have under ShardedQuantum's
@@ -76,13 +74,15 @@ func ShardedQuantum(pool ShardPool, quantum int64) Executor {
 	if quantum == 0 {
 		quantum = DefaultShardWorkQuantum
 	}
-	return &shardedExecutor{pool: pool, quantum: quantum}
+	return &shardedExecutor{pool: pool, quantum: quantum, local: localExecutor{workers: 1}}
 }
 
 type shardedExecutor struct {
 	pool ShardPool
 	sess ShardSession
-	eng  *engine
+	// local is a one-engine local executor: it runs whole levels when no
+	// shard is usable and slices whose remote routes all failed.
+	local localExecutor
 	// quantum is the estimated work per engaged worker (negative = no cap);
 	// widthCap is derived from it against the run's cost during prepare.
 	quantum  int64
@@ -90,9 +90,6 @@ type shardedExecutor struct {
 	// pending carries the next level's prefetched state (tasks built so far,
 	// pre-dispatched slices in flight) from one runLevel call into the next.
 	pending *levelRun
-	// localMu serializes local (fallback) slice execution and the node-order
-	// commit: the engine is not concurrency-safe.
-	localMu sync.Mutex
 }
 
 // sliceSpan is the [lo, hi) task range of one shard's slice of a level.
@@ -146,7 +143,7 @@ func (x *shardedExecutor) prepare(t *traversal) bool {
 	if !t.buildSingles(runtime.GOMAXPROCS(0)) {
 		return false
 	}
-	x.eng = &engine{t: t, v: validate.New(), res: t.res}
+	x.local.start(t)
 	ctx := t.ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -188,18 +185,8 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 		}
 	}
 	if run == nil && width <= 0 {
-		// No shard usable at all: run the level exactly like the serial
-		// executor — per-node scratch, no retained task/result slices.
-		candidates := 0
-		for _, node := range cur.Nodes {
-			if x.eng.aborted() {
-				return candidates
-			}
-			st.NodesProcessed++
-			candidates += x.eng.processNode(node, prev, prev2)
-		}
-		x.eng.aborted()
-		return candidates
+		// No shard usable at all: run the level like the serial executor.
+		return x.local.runLevel(t, cur, prev, prev2)
 	}
 	if run == nil {
 		run = newLevelRun(cur, width)
@@ -208,7 +195,7 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 	// coordinator-side (cheap: bitmask unions), in node order. prev is fully
 	// committed by now, so every task the prefetch didn't reach is buildable.
 	for ; run.built < len(cur.Nodes); run.built++ {
-		run.tasks[run.built] = buildTask(cur.Nodes[run.built], prev, t.numAttrs, t.cfg.Bidirectional)
+		buildTask(&run.tasks[run.built], cur.Nodes[run.built], prev, t.numAttrs, t.cfg.Bidirectional)
 	}
 
 	// Per-slice RPC spans parent under the current level's span, so a trace
@@ -237,14 +224,9 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 		progressed := false
 		for commit < len(run.plan) && run.done[commit] {
 			sp := run.plan[commit]
-			if sp.lo < sp.hi {
-				x.localMu.Lock()
-				for i := sp.lo; i < sp.hi; i++ {
-					st.NodesProcessed++
-					x.eng.applyTask(cur.Nodes[i], &run.tasks[i], &run.results[i])
-					candidates += run.results[i].Candidates
-				}
-				x.localMu.Unlock()
+			for i := sp.lo; i < sp.hi; i++ {
+				t.applyTask(cur.Nodes[i], &run.tasks[i], &run.results[i])
+				candidates += run.results[i].Candidates
 			}
 			committed = sp.hi
 			commit++
@@ -260,9 +242,11 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 		if d.err != nil {
 			// Every remote route for this slice failed (or the slice was
 			// pre-dispatched into a dying session): run it here so the job
-			// completes regardless.
+			// completes regardless. Its results are applied with the rest
+			// of the level, in node order.
 			sp := run.plan[d.j]
-			x.runLocal(t, run.tasks[sp.lo:sp.hi], run.results[sp.lo:sp.hi], prev, prev2)
+			src := &levelSource{t: t, parents: prev, grandparents: prev2}
+			x.local.exec(src, run.tasks[sp.lo:sp.hi], run.results[sp.lo:sp.hi])
 		}
 		run.done[d.j] = true
 		remaining--
@@ -270,7 +254,7 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 	}
 	// Record a deadline/cancellation that landed after the last slice, so
 	// the pipeline stops before generating the next level.
-	x.eng.aborted()
+	t.abortedInto(st)
 	return candidates
 }
 
@@ -367,7 +351,7 @@ func (x *shardedExecutor) maybePrefetch(t *traversal, cur *lattice.Level, run *l
 		x.pending = pend
 	}
 	for pend.built < len(pend.level.Nodes) && pend.maxParent[pend.built] < committed {
-		pend.tasks[pend.built] = buildTask(pend.level.Nodes[pend.built], cur, t.numAttrs, t.cfg.Bidirectional)
+		buildTask(&pend.tasks[pend.built], pend.level.Nodes[pend.built], cur, t.numAttrs, t.cfg.Bidirectional)
 		pend.built++
 	}
 	ctx := t.dispatchContext()
@@ -407,23 +391,6 @@ func maxParentIndexes(next, cur *lattice.Level) []int {
 		out[i] = maxIdx
 	}
 	return out
-}
-
-// runLocal executes a slice on the coordinator, resolving partitions through
-// the lattice like the serial executor. Serialized by localMu: concurrent
-// fallback slices share one engine.
-func (x *shardedExecutor) runLocal(t *traversal, tasks []NodeTask, results []NodeResult, prev, prev2 *lattice.Level) {
-	x.localMu.Lock()
-	defer x.localMu.Unlock()
-	src := levelSource{e: x.eng, parents: prev, grandparents: prev2}
-	for i := range tasks {
-		if x.eng.aborted() {
-			return
-		}
-		// Results are retained until the level's apply pass, so each slot is
-		// filled in place rather than through the engine scratch.
-		x.eng.execTask(&tasks[i], src, &results[i])
-	}
 }
 
 // sliceBounds returns the [lo, hi) bounds of the shard-th of `width`

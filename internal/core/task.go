@@ -106,9 +106,9 @@ type NodeResult struct {
 	Stats    TaskStats `json:"stats"`
 }
 
-// reset clears the result for reuse, keeping slice capacity — the serial and
-// pool executors apply each node's result immediately, so one scratch
-// NodeResult per engine serves every node allocation-free.
+// reset clears the result for reuse, keeping slice capacity — the local
+// executors reuse their results across nodes and levels, so steady-state
+// execution allocates nothing here.
 func (nr *NodeResult) reset() {
 	nr.Candidates = 0
 	nr.NewConst = 0
@@ -127,6 +127,7 @@ var (
 // the coordinator's lattice (levelSource — parents and grandparents
 // materialized on demand into the shared arena), or a shard worker's fold
 // cache (foldSource — rebuilt from cached single-column partitions).
+// Both charge the time of the partitions they build to the task's stats.
 // classIDsOf backs the sorted-scan exact route, which only the serial
 // executor enables; other sources never receive the call.
 type partSource interface {
@@ -135,42 +136,50 @@ type partSource interface {
 }
 
 // levelSource resolves partitions through the lattice levels of the running
-// traversal — the in-process fast path shared by the serial and pool
-// executors (and the sharded executor's local fallback).
+// traversal — the in-process path of the local executors (and the sharded
+// executor's local fallback).
 type levelSource struct {
-	e                     *engine
+	t                     *traversal
 	parents, grandparents *lattice.Level
 }
 
-func (s levelSource) node(set lattice.AttrSet) *lattice.Node {
+func (s *levelSource) node(set lattice.AttrSet) *lattice.Node {
 	if n := s.parents.Lookup(set); n != nil {
 		return n
 	}
 	return s.grandparents.Lookup(set)
 }
 
-func (s levelSource) partitionOf(set lattice.AttrSet, _ *TaskStats) *partition.Stripped {
-	// Partition time is charged to the engine's stats by materialize, exactly
-	// as the pre-task engine did.
-	return s.e.materialize(s.node(set))
+// partitionOf charges the time to build the partition — or, under the pool,
+// to wait for another engine building it.
+func (s *levelSource) partitionOf(set lattice.AttrSet, st *TaskStats) *partition.Stripped {
+	n := s.node(set)
+	if n.HasPartition() {
+		return n.Partition(s.t.arena, s.t.tbl)
+	}
+	t0 := time.Now()
+	p := n.Partition(s.t.arena, s.t.tbl)
+	st.PartitionTime += time.Since(t0)
+	return p
 }
 
-func (s levelSource) classIDsOf(set lattice.AttrSet) []int32 {
-	return s.node(set).ClassIDs(s.e.t.arena, s.e.t.tbl)
+func (s *levelSource) classIDsOf(set lattice.AttrSet) []int32 {
+	return s.node(set).ClassIDs(s.t.arena, s.t.tbl)
 }
 
 // buildTask propagates validity state from the parents into the node (the
 // coordinator-side half of node processing, which needs the whole previous
-// level) and captures the node's work unit. The task's pair-set words alias
-// the node's sets — free locally, copied only by serialization.
-func buildTask(node *lattice.Node, parents *lattice.Level, numAttrs int, bidirectional bool) NodeTask {
+// level) and captures the node's work unit in task, reusing its ParentConst
+// capacity. The task's pair-set words alias the node's sets — free locally,
+// copied only by serialization.
+func buildTask(task *NodeTask, node *lattice.Node, parents *lattice.Level, numAttrs int, bidirectional bool) {
 	if bidirectional && node.OCValidDesc == nil {
 		node.OCValidDesc = lattice.NewPairSet(numAttrs)
 	}
-	task := NodeTask{
+	*task = NodeTask{
 		Set:         uint64(node.Set),
 		Level:       node.Level,
-		ParentConst: make([]uint64, node.Level),
+		ParentConst: append(task.ParentConst[:0], make([]uint64, node.Level)...),
 	}
 	var propagated lattice.AttrSet
 	i := 0
@@ -191,7 +200,6 @@ func buildTask(node *lattice.Node, parents *lattice.Level, numAttrs int, bidirec
 	if node.OCValidDesc != nil {
 		task.OCValidDesc = node.OCValidDesc.Words()
 	}
-	return task
 }
 
 // execTask examines all candidates hosted at the task's node — OFDs
@@ -323,18 +331,19 @@ func (e *engine) execTask(task *NodeTask, parts partSource, nr *NodeResult) {
 }
 
 // applyTask folds a task's result into the node's validity state and the
-// engine's accumulated result. Called in deterministic node order by every
+// run's result and stats. Called in deterministic node order by every
 // executor, it is the single place discovered dependencies enter a Result —
 // which is why sharded, pooled, and serial runs are byte-identical.
-func (e *engine) applyTask(node *lattice.Node, task *NodeTask, nr *NodeResult) {
-	st := &e.res.Stats
+func (t *traversal) applyTask(node *lattice.Node, task *NodeTask, nr *NodeResult) {
+	st := &t.res.Stats
+	st.NodesProcessed++
 	nr.Stats.addTo(st)
 	node.ConstValid = lattice.AttrSet(task.ConstValid | nr.NewConst)
 	st.OFDsFoundPerLevel[node.Level] += bits.OnesCount64(nr.NewConst)
 	set := lattice.AttrSet(task.Set)
 	for i := range nr.OFDs {
 		w := &nr.OFDs[i]
-		e.res.OFDs = append(e.res.OFDs, OFD{
+		t.res.OFDs = append(t.res.OFDs, OFD{
 			Context:     set.Remove(w.A),
 			A:           w.A,
 			Error:       w.Error,
@@ -352,7 +361,7 @@ func (e *engine) applyTask(node *lattice.Node, task *NodeTask, nr *NodeResult) {
 			node.OCValid.Add(w.A, w.B)
 		}
 		st.OCsFoundPerLevel[node.Level]++
-		e.res.OCs = append(e.res.OCs, OC{
+		t.res.OCs = append(t.res.OCs, OC{
 			Context:     set.Remove(w.A).Remove(w.B),
 			A:           w.A,
 			B:           w.B,

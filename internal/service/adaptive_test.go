@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"testing"
 
 	"aod"
@@ -8,7 +9,9 @@ import (
 
 // TestPickExecutor pins the adaptive router's decision table: the work
 // estimate picks the tier, explicit Parallelism is never downgraded to
-// serial, and DisableAdaptive restores the pre-adaptive routing.
+// serial, and a negative ShardCostMin with a maximal SerialCostMax routes
+// like a router that ignores the estimate (sharded iff a pool is
+// configured, otherwise the job's own Parallelism decides).
 func TestPickExecutor(t *testing.T) {
 	pool := aod.LoopbackShardPool(1)
 	defer pool.Close()
@@ -29,9 +32,9 @@ func TestPickExecutor(t *testing.T) {
 		{"explicit-parallelism-never-serial", Config{}, 1000, 4, execPool},
 		{"shard-cost-min-override", Config{ShardPool: pool, ShardCostMin: 1}, 1000, 0, execSharded},
 		{"serial-cost-max-negative-no-serial-tier", Config{SerialCostMax: -1}, 1, 0, execPool},
-		{"disabled-sharded-when-pool", Config{DisableAdaptive: true, ShardPool: pool}, 1, 0, execSharded},
-		{"disabled-serial-without-pool", Config{DisableAdaptive: true}, 1 << 40, 0, execSerial},
-		{"disabled-pool-on-parallelism", Config{DisableAdaptive: true}, 1, 4, execPool},
+		{"disabled-sharded-when-pool", Config{ShardCostMin: -1, SerialCostMax: math.MaxInt64, ShardPool: pool}, 1, 0, execSharded},
+		{"disabled-serial-without-pool", Config{ShardCostMin: -1, SerialCostMax: math.MaxInt64}, 1 << 40, 0, execSerial},
+		{"disabled-pool-on-parallelism", Config{ShardCostMin: -1, SerialCostMax: math.MaxInt64}, 1, 4, execPool},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

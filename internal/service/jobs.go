@@ -553,19 +553,8 @@ const (
 // estimate (rows × cols × levels) predicts is fastest: serial for tiny jobs
 // where any fan-out is pure overhead, the in-process pool for the mid-range,
 // and the shard pool past ShardCostMin where columnar shipping amortizes.
-// Jobs asking for explicit Parallelism > 1 are never downgraded to serial,
-// and with DisableAdaptive the pre-adaptive routing applies (sharded iff a
-// pool is configured, otherwise the job's own Parallelism decides).
+// Jobs asking for explicit Parallelism > 1 are never downgraded to serial.
 func (s *Service) pickExecutor(j *Job) executorChoice {
-	if s.cfg.DisableAdaptive {
-		if s.cfg.ShardPool != nil {
-			return execSharded
-		}
-		if j.opts.Parallelism > 1 {
-			return execPool
-		}
-		return execSerial
-	}
 	cost := j.initialCost
 	if s.cfg.ShardPool != nil && cost >= s.cfg.ShardCostMin {
 		return execSharded
@@ -642,31 +631,26 @@ func (s *Service) validate(j *Job, ds *aod.Dataset) (*aod.Report, error) {
 	// All executors are result-identical by the executor equivalence
 	// contract, so cache keys and in-flight dedup need not know which one
 	// ran the job — the router trades only latency, never answers. The warm
-	// state holds for all three tiers: the sharded coordinator folds and
-	// ships from the same prepared singles a local run validates against.
-	var rep *aod.Report
-	var err error
+	// state holds for all three tiers: the sharded coordinator runs its
+	// local fallback on the same prepared singles a local run validates
+	// against. The run copy's handles are the service's, whatever the
+	// submitter set.
+	opts := j.opts
+	opts.OnLevel, opts.Warm, opts.ShardPool = onLevel, warm, nil
 	switch s.pickExecutor(j) {
 	case execSharded:
 		s.met.routedSharded.Inc()
-		opts := j.opts
-		if opts.ShardWorkQuantum == 0 {
-			opts.ShardWorkQuantum = s.cfg.ShardWorkQuantum
-		}
-		rep, err = aod.DiscoverWarmStreamContext(ctx, ds, opts, warm, s.cfg.ShardPool, onLevel)
+		opts.ShardPool = s.cfg.ShardPool
 	case execPool:
 		s.met.routedPool.Inc()
-		opts := j.opts
 		if opts.Parallelism <= 1 {
 			opts.Parallelism = runtime.GOMAXPROCS(0)
 		}
-		rep, err = aod.DiscoverWarmStreamContext(ctx, ds, opts, warm, nil, onLevel)
 	default:
 		s.met.routedSerial.Inc()
-		opts := j.opts
 		opts.Parallelism = 0
-		rep, err = aod.DiscoverWarmStreamContext(ctx, ds, opts, warm, nil, onLevel)
 	}
+	rep, err := aod.DiscoverContext(ctx, ds, opts)
 	span.End()
 	if err == nil && !rep.Stats.Canceled && !rep.Stats.TimedOut {
 		s.met.validationNs.Add(uint64(rep.Stats.ValidationTime))

@@ -39,7 +39,9 @@ func canonicalOptions(o aod.Options) aod.Options {
 func cacheKey(fingerprint string, o aod.Options) string {
 	b, err := json.Marshal(canonicalOptions(o))
 	if err != nil {
-		// Options is a plain struct of scalars; Marshal cannot fail.
+		// Every Options field Marshal visits is a scalar: the non-scalar
+		// handles (OnLevel, ShardPool, Warm) are tagged json:"-" and so stay
+		// out of the key. While that holds, Marshal cannot fail.
 		panic("service: marshal options: " + err.Error())
 	}
 	return fingerprint + "|" + string(b)

@@ -50,10 +50,6 @@ type Config struct {
 	// and a degraded pool only slows jobs down. Per-worker health and
 	// assignment counts surface in Stats.Shards.
 	ShardPool *aod.ShardPool
-	// DisableAdaptive turns off work-estimate-based executor selection. The
-	// pre-adaptive routing then applies: every job runs sharded when
-	// ShardPool is set, otherwise locally with the job's own Parallelism.
-	DisableAdaptive bool
 	// SerialCostMax is the admission work estimate (rows × cols × levels, see
 	// aod.EstimateWork) at or below which a job runs on the serial in-process
 	// executor — below it, pool fan-out costs more in coordination than it
@@ -65,13 +61,9 @@ type Config struct {
 	// ShardCostMin jobs run on the in-process pool: mid-range work
 	// parallelizes well locally but would pay shard round-trips per lattice
 	// level for nothing (default DefaultShardCostMin; negative = 0, shard
-	// everything).
+	// everything). The pool's own ShardPoolOptions.WorkQuantum then sizes
+	// each sharded job's worker fan-out.
 	ShardCostMin int64
-	// ShardWorkQuantum sizes the sharded executor's worker fan-out: one
-	// worker per this much estimated work, bounded by the pool width (see
-	// aod.Options.ShardWorkQuantum). Applied to jobs that didn't set their
-	// own quantum. 0 = the core default; negative = always full width.
-	ShardWorkQuantum int64
 	// PartitionCacheBytes bounds the cross-job partition memoization state:
 	// a fingerprint-keyed cache of prepared single-attribute partitions plus
 	// a shared partition-buffer arena, each retaining at most this many

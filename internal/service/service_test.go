@@ -438,6 +438,9 @@ func TestSubmitValidatesOptions(t *testing.T) {
 	if _, err := s.Submit(info.ID, aod.Options{MaxLevel: -1}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("negative MaxLevel: err = %v, want ErrInvalidOptions", err)
 	}
+	if _, err := s.Submit(info.ID, aod.Options{SampleStride: 4, SampleSlack: -0.1}); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("negative SampleSlack: err = %v, want ErrInvalidOptions", err)
+	}
 	v, err := s.Submit(info.ID, aod.Options{Threshold: 0.1, Parallelism: 1 << 20})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 package aod
 
 import (
-	"context"
-
 	"aod/internal/core"
 	"aod/internal/partition"
 )
@@ -54,10 +52,10 @@ func NewPartitionArena(maxBytes int64) *PartitionArena {
 // RetainedBytes reports the buffer bytes currently held for reuse.
 func (a *PartitionArena) RetainedBytes() int64 { return a.a.RetainedBytes() }
 
-// Warm bundles the cross-job state a discovery run may reuse: prepared
-// single-attribute partitions and a shared buffer arena. The zero value is a
-// fully cold run. Warm state never changes results — only where partition
-// bytes come from.
+// Warm bundles the cross-job state a discovery run may reuse
+// (Options.Warm): prepared single-attribute partitions and a shared buffer
+// arena. The zero value is a fully cold run. Warm state never changes
+// results — only where partition bytes come from.
 type Warm struct {
 	// Prepared supplies the dataset's single-attribute partitions. It is
 	// honored only when it was built from the very dataset being discovered
@@ -66,19 +64,4 @@ type Warm struct {
 	// Arena, when non-nil, replaces the run's private partition arena with a
 	// shared one, so intermediate partition buffers recycle across runs.
 	Arena *PartitionArena
-}
-
-// DiscoverWarmStreamContext is the warm-path discovery entry point: it runs
-// like DiscoverShardedStreamContext (a nil pool falls back to local serial or
-// pool execution per Options.Parallelism) but reuses warm's prepared
-// partitions and shared arena. Reports are byte-identical to the cold paths'.
-func DiscoverWarmStreamContext(ctx context.Context, d *Dataset, opts Options, warm Warm, pool *ShardPool, onLevel ProgressFunc) (*Report, error) {
-	var exec core.Executor
-	switch {
-	case pool != nil:
-		exec = core.ShardedQuantum(pool.cluster, opts.ShardWorkQuantum)
-	case opts.Parallelism > 1:
-		exec = core.Pool(opts.Parallelism)
-	}
-	return discoverWarmExec(ctx, d, opts, exec, warm, onLevel)
 }

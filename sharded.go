@@ -1,16 +1,20 @@
 package aod
 
 import (
-	"context"
 	"time"
 
-	"aod/internal/core"
 	"aod/internal/shard"
 )
 
-// ShardPoolOptions tunes a shard pool's failure policy. The zero value
-// selects production defaults.
+// ShardPoolOptions tunes a shard pool's fan-out and failure policy. The zero
+// value selects production defaults.
 type ShardPoolOptions struct {
+	// WorkQuantum sizes each run's worker fan-out: one worker is engaged per
+	// this much estimated work (EstimateWork units), bounded by the pool's
+	// width. Every engaged worker rebuilds the context partitions its slices
+	// read, so small runs are faster on fewer workers. 0 selects the default
+	// (4Mi units); negative always engages the full pool.
+	WorkQuantum int64
 	// DialTimeout bounds connecting + handshaking one worker per job
 	// (default 5s).
 	DialTimeout time.Duration
@@ -39,6 +43,7 @@ type ShardPoolOptions struct {
 // one from its -workers flag and shares it across the job manager.
 type ShardPool struct {
 	cluster *shard.Cluster
+	quantum int64
 }
 
 // DialShardPool returns a pool over TCP worker addresses (host:port). No
@@ -51,7 +56,7 @@ func DialShardPool(addrs []string, opts ShardPoolOptions) *ShardPool {
 		StragglerAfter: opts.StragglerAfter,
 		Logf:           opts.Logf,
 		Metrics:        opts.Metrics,
-	})}
+	}), quantum: opts.WorkQuantum}
 }
 
 // LoopbackShardPool returns a pool of n in-process workers speaking the full
@@ -86,23 +91,4 @@ func (p *ShardPool) Workers() []ShardWorkerStatus {
 		out[i] = ShardWorkerStatus(st)
 	}
 	return out
-}
-
-// DiscoverSharded is Discover with each lattice level sliced across the
-// pool's workers. Reports are byte-identical to Discover's — the sharded
-// executor merges per-node results in deterministic node order — and every
-// worker failure degrades to re-dispatch or local execution, so a dying pool
-// slows a job down rather than failing it.
-func DiscoverSharded(d *Dataset, opts Options, pool *ShardPool) (*Report, error) {
-	return DiscoverShardedStreamContext(context.Background(), d, opts, pool, nil)
-}
-
-// DiscoverShardedStreamContext is DiscoverSharded with cooperative
-// cancellation and per-level progress events (see DiscoverStreamContext —
-// the contracts are identical). A nil pool falls back to local discovery.
-func DiscoverShardedStreamContext(ctx context.Context, d *Dataset, opts Options, pool *ShardPool, onLevel ProgressFunc) (*Report, error) {
-	if pool == nil {
-		return DiscoverStreamContext(ctx, d, opts, onLevel)
-	}
-	return discoverStreamExec(ctx, d, opts, core.ShardedQuantum(pool.cluster, opts.ShardWorkQuantum), onLevel)
 }

@@ -1,6 +1,7 @@
 package aod
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -34,10 +35,12 @@ func TestDiscoverStreamPartials(t *testing.T) {
 
 	var progresses []Progress
 	var partials []*Report
-	rep, err := DiscoverStream(ds, opts, func(p Progress, partial *Report) {
+	streamed := opts
+	streamed.OnLevel = func(p Progress, partial *Report) {
 		progresses = append(progresses, p)
 		partials = append(partials, partial)
-	})
+	}
+	rep, err := DiscoverContext(context.Background(), ds, streamed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +87,8 @@ func TestDiscoverStreamParallel(t *testing.T) {
 	ds := streamTestDataset(t, 300, 6)
 	run := func(par int) (events int, rep *Report) {
 		var n int
-		rep, err := DiscoverStream(ds, Options{Threshold: 0.15, Parallelism: par},
-			func(p Progress, partial *Report) { n++ })
+		rep, err := DiscoverContext(context.Background(), ds, Options{Threshold: 0.15, Parallelism: par,
+			OnLevel: func(p Progress, partial *Report) { n++ }})
 		if err != nil {
 			t.Fatal(err)
 		}
