@@ -2,6 +2,8 @@ package aod
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -126,6 +128,39 @@ func TestPublicValidateErrors(t *testing.T) {
 	}
 	if _, err := ValidateListOD(ds, []string{"sal"}, []string{"nope"}, 0.1); err == nil {
 		t.Error("want error for unknown list column in Y")
+	}
+}
+
+// TestPublicZeroRowDataset pins the empty table: nothing needs removing, so
+// every validation holds with e = 0 (and marshals), and the default optimal
+// validator at ε = 0 agrees with exact discovery.
+func TestPublicZeroRowDataset(t *testing.T) {
+	ds, err := NewBuilder().AddInts("a", nil).AddInts("b", nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc, _ := ValidateOC(ds, nil, "a", "b", 0)
+	od, _ := ValidateOD(ds, nil, "a", "b", 0)
+	ofd, _ := ValidateOFD(ds, nil, "a", 0)
+	for name, v := range map[string]Validation{"OC": oc, "OD": od, "OFD": ofd} {
+		if !v.Valid || v.Error != 0 || v.Removals != 0 {
+			t.Errorf("Validate%s on 0 rows = %+v, want valid with e = 0", name, v)
+		}
+		if _, err := json.Marshal(v); err != nil {
+			t.Errorf("Validate%s on 0 rows does not marshal: %v", name, err)
+		}
+	}
+	exact, err := Discover(ds, Options{Algorithm: AlgorithmExact, IncludeOFDs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimal, err := Discover(ds, Options{IncludeOFDs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exact.OFDs) == 0 || !reflect.DeepEqual(optimal.OFDs, exact.OFDs) || !reflect.DeepEqual(optimal.OCs, exact.OCs) {
+		t.Errorf("optimal at ε = 0 found OCs %v OFDs %v, exact found OCs %v OFDs %v",
+			optimal.OCs, optimal.OFDs, exact.OCs, exact.OFDs)
 	}
 }
 

@@ -117,8 +117,11 @@ func validatorWorkload(n int) (*partition.Stripped, *dataset.Column, *dataset.Co
 	return partition.Universe(n), tbl.Column(0), tbl.Column(1)
 }
 
-// BenchmarkValidateAOCOptimal isolates Algorithm 2: O(n log n) regardless of
-// the error rate.
+// BenchmarkValidateAOCOptimal isolates Algorithm 2 on both sides of the
+// threshold. n=… times a candidate that holds (ε 0.15), the swap-matching
+// bound's worst case: it scans every row, then the O(n log n) count runs
+// anyway. reject/n=… times independent uniform columns at ε 0.10, which the
+// bound rejects before any sort.
 func BenchmarkValidateAOCOptimal(b *testing.B) {
 	for _, n := range []int{1000, 10_000, 100_000} {
 		ctx, ca, cb := validatorWorkload(n)
@@ -127,6 +130,13 @@ func BenchmarkValidateAOCOptimal(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				v.OptimalAOC(ctx, ca, cb, validate.Options{Threshold: 0.15})
+			}
+		})
+		uni := gen.Uniform(n, 2, n, 42)
+		b.Run(fmt.Sprintf("reject/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v.OptimalAOC(ctx, uni.Column(0), uni.Column(1), validate.Options{Threshold: 0.10})
 			}
 		})
 	}

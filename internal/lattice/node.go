@@ -22,9 +22,12 @@ import (
 //
 // Partitions are materialized lazily (see Partition): nodes whose subtree
 // never validates anything never pay the partition cost. This is the
-// mechanism behind the paper's Exp-5 observation that approximate discovery
-// can be faster than exact discovery: AOCs/AOFDs are found at lower levels,
-// validity state saturates sooner, and the engine stops early.
+// mechanism the paper proposes for its Exp-5 claim that approximate
+// discovery can be faster than exact discovery: AOCs/AOFDs are found at
+// lower levels, validity state saturates sooner, and the engine stops
+// early. Here approximate discovery still trails exact discovery, because
+// each approximate candidate costs more to validate; the Exp-5 notes of
+// aodbench (bench.Exp5) give the measured gap per candidate.
 type Node struct {
 	// Set is the attribute set of this node.
 	Set AttrSet

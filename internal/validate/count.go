@@ -6,11 +6,52 @@ package validate
 // into bare (A-rank << 32 | B-rank) keys (pairKV's key without the row),
 // sorted with as little work as the class needs, and its LNDS is taken as a
 // length straight off the sorted keys. Equal keys are interchangeable in a
-// count, so dropping the row ids changes none.
+// count, so dropping the row ids changes none. Before any of that,
+// OptimalAOC takes swapMatching's lower bound, which needs no sort at all.
+
+import "aod/internal/partition"
 
 // insertionCutoff is the largest class the count path orders by insertion
 // sort; longer classes take the radix sort over their differing digits.
 const insertionCutoff = 16
+
+// matchCheckRows is how many rows of one class swapMatching scans between
+// budget checks, so a rejection over one huge class (the universe context
+// of level 2) stops within a few hundred rows of crossing the budget.
+const matchCheckRows = 256
+
+// swapMatching is OptimalAOC's sort-free lower bound on the minimal removal
+// count. It walks each class in CSR order and pairs a row with the next row
+// of its class whenever the two swap (Def. 2.5) and the first is still
+// unmatched. No removal set can keep both rows of a swapped pair, and the
+// pairs are disjoint, so every removal set holds at least one row per pair:
+// the number of pairs is a lower bound on the count. It checks the bound
+// against limit every matchCheckRows rows and at each class end, and once
+// the bound exceeds limit it returns it. A swap is a negative product of
+// the two rank differences (ranks are dense and non-negative, so the
+// product fits an int64), which keeps the scan free of data-dependent
+// branches.
+func swapMatching(ctx *partition.Stripped, ra, rb []int32, limit int) int {
+	pairs := 0
+	for ci, nc := 0, ctx.NumClasses(); ci < nc; ci++ {
+		cls := ctx.Class(ci)
+		pa, pb := int64(ra[cls[0]]), int64(rb[cls[0]])
+		open := 1 // 1 while the previous row is unmatched
+		for start := 1; start < len(cls); start += matchCheckRows {
+			for _, row := range cls[start:min(start+matchCheckRows, len(cls))] {
+				a, b := int64(ra[row]), int64(rb[row])
+				swap := open & int(uint64((a-pa)*(b-pb))>>63)
+				pairs += swap
+				open = swap ^ 1
+				pa, pb = a, b
+			}
+			if pairs > limit {
+				return pairs
+			}
+		}
+	}
+	return pairs
+}
 
 // growKeys ensures the count-path scratch holds m keys.
 func (v *Validator) growKeys(m int) {

@@ -2,6 +2,7 @@ package validate
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -42,6 +43,9 @@ func checkCountPath(t testing.TB, v *Validator, ctx *partition.Stripped, a, b *d
 	}
 
 	fullOC := v.OptimalAOC(ctx, a, b, full)
+	if m := swapMatching(ctx, a.Ranks(), b.Ranks(), math.MaxInt); m > fullOC.Removals {
+		t.Fatalf("swap matching %d exceeds the minimal removal count %d", m, fullOC.Removals)
+	}
 	compare("OptimalAOC",
 		v.OptimalAOC(ctx, a, b, Options{Threshold: eps}),
 		v.OptimalAOC(ctx, a, b, Options{Threshold: eps, ComputeFullError: true}),
@@ -67,14 +71,19 @@ func checkCountPath(t testing.TB, v *Validator, ctx *partition.Stripped, a, b *d
 	}
 }
 
-// randomCountCase builds a context of classes sized 2–70 plus singleton
-// rows, over A and B columns with heavy ties; wide domains push ranks past
-// one byte so the radix sort's A and B digits both come into play.
+// randomCountCase builds a context of classes sized 2–70, now and then one
+// longer than matchCheckRows, plus singleton rows. A and B either take heavy
+// ties, where wide domains push ranks past one byte so the radix sort's A and
+// B digits both come into play, or are near-monotone (nearMonotone), where
+// the swap matching equals the minimal count.
 func randomCountCase(rng *rand.Rand) (*partition.Stripped, *dataset.Column, *dataset.Column) {
 	var sizes []int
 	rows := 0
 	for k := 1 + rng.Intn(12); k > 0; k-- {
 		m := 2 + rng.Intn(69)
+		if rng.Intn(8) == 0 {
+			m = matchCheckRows + 1 + rng.Intn(2*matchCheckRows)
+		}
 		sizes = append(sizes, m)
 		rows += m
 	}
@@ -93,36 +102,102 @@ func randomCountCase(rng *rand.Rand) (*partition.Stripped, *dataset.Column, *dat
 	}
 	// FromClasses wants classes ordered by first row.
 	slices.SortFunc(classes, func(x, y []int32) int { return cmp.Compare(x[0], y[0]) })
-	domain := func() int {
-		if rng.Intn(3) == 0 {
-			return 257 + rng.Intn(400)
-		}
-		return 1 + rng.Intn(6)
+	var av, bv []int64
+	if rng.Intn(3) == 0 {
+		av, bv = nearMonotone(rng, rows)
+	} else {
+		av, bv = tiedColumn(rng, rows), tiedColumn(rng, rows)
 	}
-	bld := dataset.NewBuilder()
-	for _, name := range []string{"a", "b"} {
-		dom := domain()
-		vals := make([]int64, rows)
-		for i := range vals {
-			vals[i] = int64(rng.Intn(dom))
-		}
-		bld.AddInts(name, vals)
-	}
-	tbl, err := bld.Build()
+	tbl, err := dataset.NewBuilder().AddInts("a", av).AddInts("b", bv).Build()
 	if err != nil {
 		panic(err)
 	}
 	return partition.FromClasses(rows, classes), tbl.Column(0), tbl.Column(1)
 }
 
+// tiedColumn draws rows values from a small domain, or now and then from one
+// wider than a byte.
+func tiedColumn(rng *rand.Rand, rows int) []int64 {
+	dom := 1 + rng.Intn(6)
+	if rng.Intn(3) == 0 {
+		dom = 257 + rng.Intn(400)
+	}
+	vals := make([]int64, rows)
+	for i := range vals {
+		vals[i] = int64(rng.Intn(dom))
+	}
+	return vals
+}
+
+// nearMonotone returns A and B near the row id: a random share of the row
+// pairs (2i+1, 2i+2) have their A values transposed, and of the pairs
+// (2i, 2i+1) their B values. Only adjacent rows can then swap, a class's
+// swaps form paths along its rows, and the swap matching, a maximum
+// matching on each path, equals the minimal removal count.
+func nearMonotone(rng *rand.Rand, rows int) (a, b []int64) {
+	a, b = make([]int64, rows), make([]int64, rows)
+	for i := range a {
+		a[i], b[i] = int64(i), int64(i)
+	}
+	share := rng.Float64()
+	for i := 0; i+1 < rows; i++ {
+		if rng.Float64() < share {
+			col := b
+			if i%2 == 1 {
+				col = a
+			}
+			col[i], col[i+1] = col[i+1], col[i]
+		}
+	}
+	return a, b
+}
+
 // TestCountPathMatchesCollectingPath runs the count-only kernels against
-// the removal-collecting path on random contexts and thresholds.
+// the removal-collecting path on random contexts and thresholds. A third of
+// the thresholds put the budget exactly on the swap matching: a bound equal
+// to the budget must not reject, and on near-monotone columns such a
+// candidate holds.
 func TestCountPathMatchesCollectingPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	v := New()
 	for iter := 0; iter < 400; iter++ {
 		ctx, a, b := randomCountCase(rng)
-		checkCountPath(t, v, ctx, a, b, rng.Float64()*0.5)
+		eps := rng.Float64() * 0.5
+		if rng.Intn(3) == 0 {
+			eps = float64(swapMatching(ctx, a.Ranks(), b.Ranks(), math.MaxInt)) / float64(ctx.N)
+		}
+		checkCountPath(t, v, ctx, a, b, eps)
+	}
+}
+
+// TestOptimalAOCRejectsOnSwapMatching pins that OptimalAOC rejects through
+// the swap-matching bound before the count kernel: on one 400-row class with
+// B reversed, the bound crosses the ε = 0.2 budget (80) between two checks
+// and is read inside the class (128 at the first check, below the class's
+// full 200), while the sorted LNDS would stop at 81.
+func TestOptimalAOCRejectsOnSwapMatching(t *testing.T) {
+	const n = 400
+	av, bv := make([]int64, n), make([]int64, n)
+	for i := range av {
+		av[i], bv[i] = int64(i), int64(n-i)
+	}
+	tbl, err := dataset.NewBuilder().AddInts("a", av).AddInts("b", bv).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, a, b := partition.Universe(n), tbl.Column(0), tbl.Column(1)
+	const eps = 0.2
+	limit := removalBudget(eps, n)
+	v := New()
+	bound := swapMatching(ctx, a.Ranks(), b.Ranks(), limit)
+	keys, _ := v.classKeys(ctx.Class(0), a.Ranks(), b.Ranks())
+	lnds := v.lndsRemovals(keys, limit)
+	if bound <= limit || bound >= n/2 || bound == lnds {
+		t.Fatalf("bound %d, LNDS stop %d, budget %d: want a bound above the budget, read inside the class, that differs from the LNDS stop", bound, lnds, limit)
+	}
+	got := v.OptimalAOC(ctx, a, b, Options{Threshold: eps})
+	if got.Valid || !got.Aborted || got.Removals != bound {
+		t.Fatalf("OptimalAOC = %+v, want an aborted rejection with the swap matching's %d removals", got, bound)
 	}
 }
 

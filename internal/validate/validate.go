@@ -19,9 +19,17 @@
 // (A-rank, B-rank) keys — insertion sort up to 16 rows, above that an LSD
 // radix over only the bytes where the class's keys differ — and take the
 // LNDS as a length over its tails (count.go). Unless the full error is
-// asked for, the count stops once it passes the removal budget. Callers
-// that collect removal rows (repair, the public Validate* calls, removal
-// sets in reports) take the sorting path instead: (key, row) pairs
+// asked for, the count stops once it passes the removal budget, and
+// OptimalAOC first takes a sort-free lower bound (swapMatching): walking
+// each class in CSR order, it pairs a row with the next one whenever the two
+// swap and the first is still unmatched. No removal set keeps both rows of a
+// swapped pair and the pairs are disjoint, so their number bounds the
+// minimal count from below; once it passes the budget the candidate is
+// rejected without sorting any class. It changes no validity decision, only
+// an aborted result's lower bound.
+//
+// Callers that collect removal rows (repair, the public Validate* calls,
+// removal sets in reports) take the sorting path instead: (key, row) pairs
 // radix-sorted stably, with a comparison sort below 64 rows (radix.go), and
 // one LNDS reconstructed with a lis.Scratch, so a removal set names the
 // same rows on every run.
@@ -78,8 +86,13 @@ func removalBudget(threshold float64, n int) int {
 	return int(math.Floor(threshold*float64(n) + 1e-9))
 }
 
+// finish packs a validation outcome. A table with no rows has nothing to
+// remove, so its factor is 0, not 0/0.
 func finish(removals int, n int, opts Options, aborted bool, rows []int32) Result {
-	e := float64(removals) / float64(n)
+	e := 0.0
+	if n > 0 {
+		e = float64(removals) / float64(n)
+	}
 	return Result{
 		Valid:       !aborted && e <= opts.Threshold+1e-12,
 		Removals:    removals,
@@ -165,17 +178,22 @@ func (v *Validator) collectRemoved(m int, keep []int32, removed []int32) []int32
 //
 // Without opts.CollectRemovals only the count is needed, and the count-only
 // kernels (count.go) compute it; unless opts.ComputeFullError is set they
-// stop, inside a class if need be, as soon as the count exceeds the budget.
+// stop, inside a class if need be, as soon as the count exceeds the budget,
+// and first take swapMatching's sort-free lower bound, which rejects most
+// invalid candidates before any class is sorted.
 func (v *Validator) OptimalAOC(ctx *partition.Stripped, a, b *dataset.Column, opts Options) Result {
 	if opts.CollectRemovals {
 		return v.optimalSorted(ctx, a, b, false, opts)
 	}
 	n := ctx.N
-	limit := removalBudget(opts.Threshold, n)
-	if opts.ComputeFullError {
-		limit = math.MaxInt
-	}
 	ra, rb := a.Ranks(), b.Ranks()
+	limit := math.MaxInt
+	if !opts.ComputeFullError {
+		limit = removalBudget(opts.Threshold, n)
+		if bound := swapMatching(ctx, ra, rb, limit); bound > limit {
+			return finish(bound, n, opts, true, nil)
+		}
+	}
 	removals := 0
 	for ci, nc := 0, ctx.NumClasses(); ci < nc; ci++ {
 		removals += v.countRemovals(ctx.Class(ci), ra, rb, limit-removals)
