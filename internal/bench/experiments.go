@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"aod/internal/core"
-	"aod/internal/dataset"
-	"aod/internal/lattice"
 	"aod/internal/partition"
 	"aod/internal/validate"
 )
@@ -355,14 +353,4 @@ func writeAll(w io.Writer, tables []*Table) []*Table {
 
 func ocKeyOf(oc core.OC) string {
 	return fmt.Sprintf("%d|%d|%d", uint64(oc.Context), oc.A, oc.B)
-}
-
-// contextPartition materializes Π_ctx by splitting the universe by each
-// context column in turn.
-func contextPartition(tbl *dataset.Table, ctx lattice.AttrSet) *partition.Stripped {
-	p := partition.Universe(tbl.NumRows())
-	ctx.ForEach(func(a int) {
-		p = p.SplitBy(tbl.Column(a))
-	})
-	return p
 }

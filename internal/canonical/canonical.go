@@ -89,18 +89,8 @@ func Map(x, y []int) Mapping {
 func Holds(tbl *dataset.Table, x, y []int) bool {
 	m := Map(x, y)
 	v := validate.New()
-	parts := make(map[lattice.AttrSet]*partition.Stripped)
-	ctxOf := func(s lattice.AttrSet) *partition.Stripped {
-		if p, ok := parts[s]; ok {
-			return p
-		}
-		p := partition.Universe(tbl.NumRows())
-		s.ForEach(func(a int) {
-			p = p.SplitBy(tbl.Column(a))
-		})
-		parts[s] = p
-		return p
-	}
+	memo := partition.NewMemo(tbl, nil, nil)
+	ctxOf := func(s lattice.AttrSet) *partition.Stripped { return memo.Get(uint64(s), nil) }
 	for _, d := range m.OFDs {
 		if !validate.ExactOFD(ctxOf(d.Context), tbl.Column(d.A)) {
 			return false

@@ -97,8 +97,6 @@ type Config struct {
 	// linear scan of the set-based framework [9] (per-attribute global
 	// orders precomputed once, O(|r|) per candidate) instead of the
 	// per-class sort. Only affects ValidatorExact; results are identical.
-	// Honoured only by the serial executor (the lazy order cache is not
-	// shared across workers).
 	UseSortedScan bool
 	// Bidirectional additionally searches mixed-direction order
 	// compatibilities X: A ∼ B↓ (A ascending, B descending), after the

@@ -72,9 +72,10 @@ func ofdSet(r *Result) map[ofdKey]float64 {
 }
 
 // TestDifferentialAgainstReference is the semantic anchor of the engine: on
-// hundreds of random small tables the engine's output (exact and optimal
-// configurations, several thresholds) must equal the brute-force reference
-// exactly — same minimal dependencies, same approximation factors.
+// hundreds of random small tables, plus a 0-row and a 1-row table, the
+// engine's output (exact and optimal configurations, several thresholds) must
+// equal the brute-force reference exactly — same minimal dependencies, same
+// approximation factors.
 func TestDifferentialAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	thresholds := []float64{0, 0.1, 0.25, 0.5}
@@ -90,42 +91,57 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		tbl := randomTable(rng, rows, attrs, domain)
 		eps := thresholds[iter%len(thresholds)]
 		vk := validators[iter%len(validators)]
-		cfg := Config{Threshold: eps, Validator: vk, IncludeOFDs: true}
-		got, err := Discover(tbl, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ReferenceDiscover(tbl, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotOC, wantOC := ocSet(got), ocSet(want)
-		if len(gotOC) != len(wantOC) {
-			t.Fatalf("iter %d (%v ε=%.2f rows=%d attrs=%d): %d OCs, reference %d\n got: %v\nwant: %v",
-				iter, vk, eps, rows, attrs, len(gotOC), len(wantOC), got.OCs, want.OCs)
-		}
-		for k, e := range wantOC {
-			ge, ok := gotOC[k]
-			if !ok {
-				t.Fatalf("iter %d: missing OC %v: %d ∼ %d", iter, k.ctx, k.a, k.b)
-			}
-			if math.Abs(ge-e) > 1e-9 {
-				t.Fatalf("iter %d: OC %v error %g, reference %g", iter, k, ge, e)
+		label := fmt.Sprintf("iter %d (%v ε=%.2f rows=%d attrs=%d)", iter, vk, eps, rows, attrs)
+		checkAgainstReference(t, label, tbl, Config{Threshold: eps, Validator: vk, IncludeOFDs: true})
+	}
+	// With no rows every error is 0; with one row every dependency holds.
+	for rows := 0; rows <= 1; rows++ {
+		tbl := randomTable(rng, rows, 3, 2)
+		for _, vk := range validators {
+			for _, eps := range thresholds {
+				label := fmt.Sprintf("%d-row table (%v ε=%.2f)", rows, vk, eps)
+				checkAgainstReference(t, label, tbl, Config{Threshold: eps, Validator: vk, IncludeOFDs: true})
 			}
 		}
-		gotOFD, wantOFD := ofdSet(got), ofdSet(want)
-		if len(gotOFD) != len(wantOFD) {
-			t.Fatalf("iter %d (%v ε=%.2f): %d OFDs, reference %d\n got: %v\nwant: %v",
-				iter, vk, eps, len(gotOFD), len(wantOFD), got.OFDs, want.OFDs)
+	}
+}
+
+// checkAgainstReference asserts that Discover and ReferenceDiscover find the
+// same OCs and OFDs with the same errors.
+func checkAgainstReference(t *testing.T, label string, tbl *dataset.Table, cfg Config) {
+	t.Helper()
+	got, err := Discover(tbl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReferenceDiscover(tbl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotOC, wantOC := ocSet(got), ocSet(want)
+	if len(gotOC) != len(wantOC) {
+		t.Fatalf("%s: %d OCs, reference %d\n got: %v\nwant: %v", label, len(gotOC), len(wantOC), got.OCs, want.OCs)
+	}
+	for k, e := range wantOC {
+		ge, ok := gotOC[k]
+		if !ok {
+			t.Fatalf("%s: missing OC %v: %d ∼ %d", label, k.ctx, k.a, k.b)
 		}
-		for k, e := range wantOFD {
-			ge, ok := gotOFD[k]
-			if !ok {
-				t.Fatalf("iter %d: missing OFD %v: []↦%d", iter, k.ctx, k.a)
-			}
-			if math.Abs(ge-e) > 1e-9 {
-				t.Fatalf("iter %d: OFD %v error %g, reference %g", iter, k, ge, e)
-			}
+		if math.Abs(ge-e) > 1e-9 {
+			t.Fatalf("%s: OC %v error %g, reference %g", label, k, ge, e)
+		}
+	}
+	gotOFD, wantOFD := ofdSet(got), ofdSet(want)
+	if len(gotOFD) != len(wantOFD) {
+		t.Fatalf("%s: %d OFDs, reference %d\n got: %v\nwant: %v", label, len(gotOFD), len(wantOFD), got.OFDs, want.OFDs)
+	}
+	for k, e := range wantOFD {
+		ge, ok := gotOFD[k]
+		if !ok {
+			t.Fatalf("%s: missing OFD %v: []↦%d", label, k.ctx, k.a)
+		}
+		if math.Abs(ge-e) > 1e-9 {
+			t.Fatalf("%s: OFD %v error %g, reference %g", label, k, ge, e)
 		}
 	}
 }

@@ -87,14 +87,20 @@ func (e *engine) validateOFD(ctx *partition.Stripped, col *dataset.Column) valid
 	return e.v.ApproxOFD(ctx, col, validate.Options{Threshold: e.t.eps})
 }
 
+// context returns the partition of the context set from the run's memo,
+// charging a build (or the wait for another engine's build) to the task.
+func (e *engine) context(set lattice.AttrSet, st *TaskStats) *partition.Stripped {
+	return e.t.memo.Get(uint64(set), &st.PartitionTime)
+}
+
 // validateOCVia validates the OC candidate with context set gpSet (whose
 // partition is ctx) over attributes a and b (B descending when desc),
 // routing to the configured validator — including the sorted-scan exact
-// route when enabled (serial executor only; parts resolves the class ids).
-func (e *engine) validateOCVia(parts partSource, gpSet lattice.AttrSet, ctx *partition.Stripped, a, b int, desc bool) validate.Result {
+// route when enabled, which reads the context's class ids from the memo.
+func (e *engine) validateOCVia(gpSet lattice.AttrSet, ctx *partition.Stripped, a, b int, desc bool) validate.Result {
 	cb := e.columnB(b, desc)
-	if e.t.orders != nil && e.t.cfg.Validator == ValidatorExact {
-		ids := parts.classIDsOf(gpSet)
+	if e.t.orders != nil {
+		ids := e.t.memo.ClassIDs(uint64(gpSet))
 		ok, _ := e.v.ExactOCScan(ids, ctx.NumClasses(), e.t.orders.Order(a),
 			e.t.tbl.Column(a), cb)
 		return validate.Result{Valid: ok, Aborted: !ok}

@@ -12,8 +12,7 @@ import (
 
 // Serial returns the sequential executor: one engine builds, executes and
 // applies the nodes of each level one at a time, reusing a single task and
-// result, so per-node work allocates nothing. It is the only executor that
-// honours Config.UseSortedScan.
+// result, so per-node work allocates nothing.
 func Serial() Executor { return &localExecutor{workers: 1} }
 
 // Pool returns the worker-pool executor: each level's tasks are built in node
@@ -34,8 +33,8 @@ func Pool(workers int) Executor {
 
 // localExecutor runs levels in process through the task path every executor
 // shares: buildTask in node order, execTask on the engines, applyTask in node
-// order. Context partitions resolve through the lattice (levelSource), whose
-// per-node guard builds each one once however many engines read it.
+// order. Context partitions come from the run's partition memo, which builds
+// each one once however many engines read it.
 type localExecutor struct {
 	workers int
 	engines []*engine
@@ -51,11 +50,6 @@ func (l *localExecutor) prepare(t *traversal) bool {
 	if !t.buildSingles(l.workers) {
 		return false
 	}
-	// The sorted-scan route caches class ids on lattice nodes without a
-	// guard, so only a single engine may take it.
-	if l.workers == 1 && t.cfg.UseSortedScan && t.cfg.Validator == ValidatorExact {
-		t.orders = validate.NewTableOrders(t.tbl)
-	}
 	l.start(t)
 	return true
 }
@@ -70,8 +64,7 @@ func (l *localExecutor) start(t *traversal) {
 
 func (l *localExecutor) close() {}
 
-func (l *localExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level) int {
-	src := &levelSource{t: t, parents: prev, grandparents: prev2}
+func (l *localExecutor) runLevel(t *traversal, cur, prev *lattice.Level) int {
 	step := len(cur.Nodes)
 	if len(l.engines) == 1 {
 		step = 1
@@ -86,7 +79,7 @@ func (l *localExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level) 
 		for i, node := range nodes {
 			buildTask(&l.tasks[i], node, prev, t.numAttrs, t.cfg.Bidirectional)
 		}
-		done := l.exec(src, l.tasks[:len(nodes)], l.results[:len(nodes)])
+		done := l.exec(l.tasks[:len(nodes)], l.results[:len(nodes)])
 		for i := 0; i < done; i++ {
 			t.applyTask(nodes[i], &l.tasks[i], &l.results[i])
 			candidates += l.results[i].Candidates
@@ -101,24 +94,23 @@ func (l *localExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level) 
 	return candidates
 }
 
-// exec runs tasks[i] into results[i] on the engines, resolving context
-// partitions through src. The engines claim indexes in order from a shared
-// counter until the tasks run out or the run aborts. The tasks that ran form
-// a prefix of tasks; exec returns its length.
-func (l *localExecutor) exec(src *levelSource, tasks []NodeTask, results []NodeResult) int {
+// exec runs tasks[i] into results[i] on the engines. The engines claim
+// indexes in order from a shared counter until the tasks run out or the run
+// aborts. The tasks that ran form a prefix of tasks; exec returns its length.
+func (l *localExecutor) exec(tasks []NodeTask, results []NodeResult) int {
 	l.next.Store(0)
 	if len(l.engines) == 1 || len(tasks) == 1 {
-		l.work(l.engines[0], src, tasks, results)
+		l.work(l.engines[0], tasks, results)
 	} else {
 		var wg sync.WaitGroup
 		for _, e := range l.engines[1:] {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				l.work(e, src, tasks, results)
+				l.work(e, tasks, results)
 			}()
 		}
-		l.work(l.engines[0], src, tasks, results)
+		l.work(l.engines[0], tasks, results)
 		wg.Wait()
 	}
 	return min(int(l.next.Load()), len(tasks))
@@ -127,52 +119,55 @@ func (l *localExecutor) exec(src *levelSource, tasks []NodeTask, results []NodeR
 // work is one engine's claim loop. Every claimed index below len(tasks) is
 // executed (an abort cuts the task short, not the claim), which is what
 // makes the executed tasks a prefix.
-func (l *localExecutor) work(e *engine, src *levelSource, tasks []NodeTask, results []NodeResult) {
+func (l *localExecutor) work(e *engine, tasks []NodeTask, results []NodeResult) {
 	for !e.aborted() {
 		i := int(l.next.Add(1)) - 1
 		if i >= len(tasks) {
 			return
 		}
-		e.execTask(&tasks[i], src, &results[i])
+		e.execTask(&tasks[i], &results[i])
 	}
 }
 
 // buildSingles materializes the per-attribute partitions, across `workers`
-// goroutines when workers > 1. Cancellation is polled per column so an abort
-// doesn't pay for the whole O(cols · rows) startup phase on large tables; it
-// returns false when the run was aborted (some singles may be nil then — the
-// caller must not touch them). Pre-injected singles (a warm Pipeline.Prepared
-// start) short-circuit the build entirely.
+// goroutines when workers > 1, and opens the run's partition memo over them.
+// Cancellation is polled per column so an abort doesn't pay for the whole
+// O(cols · rows) startup phase on large tables; it returns false when the
+// run was aborted. Pre-injected singles (a warm Pipeline.Prepared start)
+// short-circuit the build entirely.
 func (t *traversal) buildSingles(workers int) bool {
-	if t.singles != nil {
-		return !t.abortedInto(&t.res.Stats)
-	}
-	t.singles = make([]*partition.Stripped, t.numAttrs)
-	if workers <= 1 {
-		for a := 0; a < t.numAttrs; a++ {
-			if t.abortedInto(&t.res.Stats) {
-				return false
+	if t.singles == nil {
+		t.singles = make([]*partition.Stripped, t.numAttrs)
+		var wg sync.WaitGroup
+		sem := make(chan struct{}, max(workers, 1))
+		for a := 0; a < t.numAttrs && !t.abortedInto(nil); a++ {
+			if workers <= 1 {
+				t.singles[a] = partition.Single(t.tbl.Column(a))
+				continue
 			}
-			t.singles[a] = partition.Single(t.tbl.Column(a))
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(a int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				t.singles[a] = partition.Single(t.tbl.Column(a))
+			}(a)
 		}
-		return true
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for a := 0; a < t.numAttrs; a++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(a int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if t.ctx != nil && t.ctx.Err() != nil {
-				return
-			}
-			t.singles[a] = partition.Single(t.tbl.Column(a))
-		}(a)
+	if t.abortedInto(&t.res.Stats) {
+		return false
 	}
-	wg.Wait()
-	// Some singles may be nil after a cancellation; abort before anything
-	// touches them.
-	return !t.abortedInto(&t.res.Stats)
+	t.openMemo()
+	return true
+}
+
+// openMemo puts the run's partitions behind one memo, the partition source of
+// every engine, and builds the per-attribute row orders when the exact
+// validator takes the sorted-scan route.
+func (t *traversal) openMemo() {
+	t.memo = partition.NewMemo(t.tbl, t.singles, t.arena)
+	if t.cfg.UseSortedScan && t.cfg.Validator == ValidatorExact {
+		t.orders = validate.NewTableOrders(t.tbl)
+	}
 }

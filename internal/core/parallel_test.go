@@ -59,24 +59,27 @@ func TestParallelMatchesSequential(t *testing.T) {
 // non-timing stats.
 func TestParallelSingleWorkerDelegates(t *testing.T) {
 	tbl := paperTable1(t)
-	// Both validator routes give the same results, so the route is checked
-	// on the state prepare builds: the serial-only sorted-scan orders.
+	// Every executor takes the sorted-scan route, so prepare builds its
+	// orders for all of them; the single engine shows in the engine count.
 	scan := Config{Validator: ValidatorExact, UseSortedScan: true}
 	for _, tc := range []struct {
-		name   string
-		exec   Executor
-		orders bool
+		name    string
+		exec    Executor
+		engines int
 	}{
-		{"Serial()", Serial(), true},
-		{"Pool(1)", Pool(1), true},
-		{"Pool(2)", Pool(2), false},
+		{"Serial()", Serial(), 1},
+		{"Pool(1)", Pool(1), 1},
+		{"Pool(2)", Pool(2), 2},
 	} {
 		tr := &traversal{tbl: tbl, cfg: scan, numAttrs: tbl.NumCols(), res: &Result{}}
 		if !tc.exec.prepare(tr) {
 			t.Fatalf("%s: prepare aborted", tc.name)
 		}
-		if got := tr.orders != nil; got != tc.orders {
-			t.Errorf("%s: sorted-scan orders built = %v, want %v", tc.name, got, tc.orders)
+		if tr.orders == nil {
+			t.Errorf("%s: sorted-scan orders not built", tc.name)
+		}
+		if got := len(tc.exec.(*localExecutor).engines); got != tc.engines {
+			t.Errorf("%s: %d engines, want %d", tc.name, got, tc.engines)
 		}
 	}
 	for _, cfg := range []Config{
@@ -163,5 +166,27 @@ func TestParallelPoolChargesPartitionTime(t *testing.T) {
 	}
 	if deep <= 0 {
 		t.Errorf("pool charged no partition time over %d levels past 2 (total %v)", levels, res.Stats.PartitionTime)
+	}
+}
+
+// TestParallelBuildsEachPartitionOnce pins the partition memo's per-set guard
+// under the pool: engines that race for the same unbuilt context wait for one
+// build instead of repeating it, so Pool(4) splits exactly the partitions
+// Serial() splits, run after run.
+func TestParallelBuildsEachPartitionOnce(t *testing.T) {
+	tbl := gen.NCVoter(gen.NCVoterConfig{Rows: 1200, Attrs: 10, Seed: 42})
+	cfg := Config{Validator: ValidatorExact, IncludeOFDs: true}
+	builds := func(exec Executor) uint64 {
+		if _, err := (Pipeline{Executor: exec}).Run(context.Background(), tbl, cfg); err != nil {
+			t.Fatal(err)
+		}
+		_, b := exec.(*localExecutor).engines[0].t.memo.Stats()
+		return b
+	}
+	want := builds(Serial())
+	for run := 0; run < 5; run++ {
+		if got := builds(Pool(4)); got != want {
+			t.Fatalf("run %d: Pool(4) split %d partitions, Serial() %d", run, got, want)
+		}
 	}
 }

@@ -75,7 +75,7 @@ type Executor interface {
 	// runLevel validates the candidates of every node in cur, accumulating
 	// dependencies and stats into t.res in deterministic node order, and
 	// returns the number of candidates validated.
-	runLevel(t *traversal, cur, prev, prev2 *lattice.Level) int
+	runLevel(t *traversal, cur, prev *lattice.Level) int
 	// close releases executor-owned resources (e.g. a sharded executor's
 	// worker session) when the run ends, normally or aborted.
 	close()
@@ -105,8 +105,8 @@ type Pipeline struct {
 }
 
 // traversal is the shared state of one pipeline run: input, configuration,
-// the partition arena and per-attribute partitions shared by all executors'
-// workers, deadline bookkeeping, and the accumulated result.
+// the partition memo shared by all executors' workers, deadline bookkeeping,
+// and the accumulated result.
 type traversal struct {
 	ctx      context.Context // nil means non-cancellable
 	tbl      *dataset.Table
@@ -114,13 +114,17 @@ type traversal struct {
 	eps      float64
 	numAttrs int
 	maxLevel int
-	// arena recycles the CSR buffers of released lattice levels into the
-	// next level's partition splits, keeping steady-state traversal
-	// nearly allocation-free. It is concurrency-safe and shared by all
-	// workers of a pool executor.
-	arena    *partition.Arena
-	singles  []*partition.Stripped
-	orders   *validate.TableOrders // non-nil only under UseSortedScan (serial)
+	// arena recycles the CSR buffers of the memo's dropped generations into
+	// the next level's partition splits, keeping steady-state traversal
+	// nearly allocation-free. It is concurrency-safe.
+	arena   *partition.Arena
+	singles []*partition.Stripped
+	// memo builds and keeps every context partition the engines read (see
+	// partition.Memo); it is opened over singles once they are built.
+	memo *partition.Memo
+	// orders are the per-attribute row orders of the exact sorted-scan
+	// route; nil unless the exact validator runs with UseSortedScan.
+	orders   *validate.TableOrders
 	start    time.Time
 	deadline time.Time
 	res      *Result
@@ -274,15 +278,20 @@ func (p Pipeline) Run(ctx context.Context, tbl *dataset.Table, cfg Config) (*Res
 		return t.res, nil
 	}
 
-	l0 := lattice.Level0(tbl.NumRows(), numAttrs)
-	prev2, prev := (*lattice.Level)(nil), l0
-	cur := lattice.Level1(t.singles)
+	// Level 1's only parent, the empty set, carries no validity state.
+	var prev *lattice.Level
+	cur := lattice.Level1(numAttrs)
 	for {
 		st.LevelsProcessed++
 		lvlStart := time.Now()
+		// A new level reads contexts one and two levels down, so partitions
+		// left unread for a whole level recycle into the arena here. No
+		// engine reads the memo between levels, so the rotation needs no
+		// guard.
+		t.memo.Rotate()
 		t.levelSpan = trace.Start(traceParent, "level")
 		t.levelSpan.SetLabel("level %d", cur.Number)
-		candidates := exec.runLevel(t, cur, prev, prev2)
+		candidates := exec.runLevel(t, cur, prev)
 		t.levelSpan.Attr("nodes", int64(len(cur.Nodes)))
 		t.levelSpan.Attr("candidates", int64(candidates))
 		t.levelSpan.End()
@@ -303,17 +312,7 @@ func (p Pipeline) Run(ctx context.Context, tbl *dataset.Table, cfg Config) (*Res
 		if next == nil {
 			next = lattice.NextLevel(cur, numAttrs)
 		}
-		if prev2 != nil {
-			// prev2 is two levels behind the new frontier: its partitions are
-			// no longer read as contexts, so their CSR buffers recycle into the
-			// arena for the next level's splits. No executor touches the
-			// lattice between levels, which is what lets Node.Partition's
-			// lazy guard ignore releases.
-			for _, n := range prev2.Nodes {
-				n.ReleasePartition(t.arena)
-			}
-		}
-		prev2, prev, cur = prev, cur, next
+		prev, cur = cur, next
 	}
 	st.TotalTime = time.Since(t.start)
 	return t.res, nil

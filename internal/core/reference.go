@@ -56,8 +56,16 @@ func ReferenceDiscover(tbl *dataset.Table, cfg Config) (*Result, error) {
 		return out
 	}
 
+	// The error of a 0-row table is 0, as in validate: there is nothing to
+	// remove.
+	errOf := func(removals int) float64 {
+		if n == 0 {
+			return 0
+		}
+		return float64(removals) / float64(n)
+	}
 	valid := func(removals int) bool {
-		return float64(removals)/float64(n) <= eps+1e-12
+		return errOf(removals) <= eps+1e-12
 	}
 
 	// ofdRemovals: g3 with naive per-class counting.
@@ -197,10 +205,10 @@ func ReferenceDiscover(tbl *dataset.Table, cfg Config) (*Result, error) {
 						res.OFDs = append(res.OFDs, OFD{
 							Context:  lattice.AttrSet(ctx),
 							A:        a,
-							Error:    float64(rem) / float64(n),
+							Error:    errOf(rem),
 							Removals: rem,
 							Level:    level + 1,
-							Score:    Score(level, float64(rem)/float64(n)),
+							Score:    Score(level, errOf(rem)),
 						})
 					}
 				}
@@ -244,10 +252,10 @@ func ReferenceDiscover(tbl *dataset.Table, cfg Config) (*Result, error) {
 				A:          p.a,
 				B:          p.b,
 				Descending: p.desc,
-				Error:      float64(rem) / float64(n),
+				Error:      errOf(rem),
 				Removals:   rem,
 				Level:      level + 2,
-				Score:      Score(level, float64(rem)/float64(n)),
+				Score:      Score(level, errOf(rem)),
 			})
 		}
 	}

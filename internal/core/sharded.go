@@ -165,7 +165,7 @@ func (x *shardedExecutor) close() {
 	}
 }
 
-func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level) int {
+func (x *shardedExecutor) runLevel(t *traversal, cur, prev *lattice.Level) int {
 	st := &t.res.Stats
 	// Adopt the previous level's prefetch for this level, if any. A stale
 	// pending (from an aborted or different run) is simply dropped: its
@@ -186,7 +186,7 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 	}
 	if run == nil && width <= 0 {
 		// No shard usable at all: run the level like the serial executor.
-		return x.local.runLevel(t, cur, prev, prev2)
+		return x.local.runLevel(t, cur, prev)
 	}
 	if run == nil {
 		run = newLevelRun(cur, width)
@@ -245,8 +245,7 @@ func (x *shardedExecutor) runLevel(t *traversal, cur, prev, prev2 *lattice.Level
 			// completes regardless. Its results are applied with the rest
 			// of the level, in node order.
 			sp := run.plan[d.j]
-			src := &levelSource{t: t, parents: prev, grandparents: prev2}
-			x.local.exec(src, run.tasks[sp.lo:sp.hi], run.results[sp.lo:sp.hi])
+			x.local.exec(run.tasks[sp.lo:sp.hi], run.results[sp.lo:sp.hi])
 		}
 		run.done[d.j] = true
 		remaining--

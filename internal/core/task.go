@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"aod/internal/lattice"
-	"aod/internal/partition"
 	"aod/internal/validate"
 )
 
@@ -123,50 +122,6 @@ var (
 	dirBoth = [...]bool{false, true}
 )
 
-// partSource abstracts where a task execution gets its context partitions:
-// the coordinator's lattice (levelSource — parents and grandparents
-// materialized on demand into the shared arena), or a shard worker's fold
-// cache (foldSource — rebuilt from cached single-column partitions).
-// Both charge the time of the partitions they build to the task's stats.
-// classIDsOf backs the sorted-scan exact route, which only the serial
-// executor enables; other sources never receive the call.
-type partSource interface {
-	partitionOf(set lattice.AttrSet, st *TaskStats) *partition.Stripped
-	classIDsOf(set lattice.AttrSet) []int32
-}
-
-// levelSource resolves partitions through the lattice levels of the running
-// traversal — the in-process path of the local executors (and the sharded
-// executor's local fallback).
-type levelSource struct {
-	t                     *traversal
-	parents, grandparents *lattice.Level
-}
-
-func (s *levelSource) node(set lattice.AttrSet) *lattice.Node {
-	if n := s.parents.Lookup(set); n != nil {
-		return n
-	}
-	return s.grandparents.Lookup(set)
-}
-
-// partitionOf charges the time to build the partition — or, under the pool,
-// to wait for another engine building it.
-func (s *levelSource) partitionOf(set lattice.AttrSet, st *TaskStats) *partition.Stripped {
-	n := s.node(set)
-	if n.HasPartition() {
-		return n.Partition(s.t.arena, s.t.tbl)
-	}
-	t0 := time.Now()
-	p := n.Partition(s.t.arena, s.t.tbl)
-	st.PartitionTime += time.Since(t0)
-	return p
-}
-
-func (s *levelSource) classIDsOf(set lattice.AttrSet) []int32 {
-	return s.node(set).ClassIDs(s.t.arena, s.t.tbl)
-}
-
 // buildTask propagates validity state from the parents into the node (the
 // coordinator-side half of node processing, which needs the whole previous
 // level) and captures the node's work unit in task, reusing its ParentConst
@@ -211,7 +166,7 @@ func buildTask(task *NodeTask, node *lattice.Node, parents *lattice.Level, numAt
 // observes another's verdict within a node), which is what makes the work
 // unit location-transparent: the same code runs under the serial executor,
 // the pool workers, and a remote shard's TaskRunner.
-func (e *engine) execTask(task *NodeTask, parts partSource, nr *NodeResult) {
+func (e *engine) execTask(task *NodeTask, nr *NodeResult) {
 	nr.reset()
 	st := &nr.Stats
 	set := lattice.AttrSet(task.Set)
@@ -229,7 +184,7 @@ func (e *engine) execTask(task *NodeTask, parts partSource, nr *NodeResult) {
 			// unless the pruning ablation wants the cost measured.
 			st.OFDSkipped++
 			if e.t.cfg.DisablePruning {
-				ctx := parts.partitionOf(set.Remove(d), st)
+				ctx := e.context(set.Remove(d), st)
 				st.OFDCandidates++
 				nr.Candidates++
 				t0 := time.Now()
@@ -238,7 +193,7 @@ func (e *engine) execTask(task *NodeTask, parts partSource, nr *NodeResult) {
 			}
 			continue
 		}
-		ctx := parts.partitionOf(set.Remove(d), st)
+		ctx := e.context(set.Remove(d), st)
 		st.OFDCandidates++
 		nr.Candidates++
 		t0 := time.Now()
@@ -298,16 +253,16 @@ func (e *engine) execTask(task *NodeTask, parts partSource, nr *NodeResult) {
 				gpSet := set.Remove(a).Remove(b)
 				if skip {
 					if e.t.cfg.DisablePruning {
-						ctx := parts.partitionOf(gpSet, st)
+						ctx := e.context(gpSet, st)
 						st.OCCandidates++
 						nr.Candidates++
 						t0 := time.Now()
-						e.validateOCVia(parts, gpSet, ctx, a, b, desc)
+						e.validateOCVia(gpSet, ctx, a, b, desc)
 						st.ValidationTime += time.Since(t0)
 					}
 					continue
 				}
-				ctx := parts.partitionOf(gpSet, st)
+				ctx := e.context(gpSet, st)
 				st.OCCandidates++
 				nr.Candidates++
 				t0 := time.Now()
@@ -316,7 +271,7 @@ func (e *engine) execTask(task *NodeTask, parts partSource, nr *NodeResult) {
 					st.ValidationTime += time.Since(t0)
 					continue
 				}
-				r := e.validateOCVia(parts, gpSet, ctx, a, b, desc)
+				r := e.validateOCVia(gpSet, ctx, a, b, desc)
 				st.ValidationTime += time.Since(t0)
 				if r.Valid {
 					oc := TaskOC{A: a, B: b, Descending: desc, Error: r.Error, Removals: r.Removals}

@@ -199,15 +199,13 @@ func singlesOf(tbl *dataset.Table) []*partition.Stripped {
 }
 
 func TestLevelGenerationEnumeratesAllSets(t *testing.T) {
-	tbl := buildTestTable(t, 5, 20, 1)
-	l1 := Level1(singlesOf(tbl))
+	l1 := Level1(5)
 	if len(l1.Nodes) != 5 {
 		t.Fatalf("level 1 size = %d", len(l1.Nodes))
 	}
 	want := []int{10, 10, 5, 1} // C(5,2), C(5,3), C(5,4), C(5,5)
 	cur := l1
 	for lv := 2; lv <= 5; lv++ {
-		prev := cur
 		cur = NextLevel(cur, 5)
 		if len(cur.Nodes) != want[lv-2] {
 			t.Fatalf("level %d size = %d, want %d", lv, len(cur.Nodes), want[lv-2])
@@ -221,13 +219,6 @@ func TestLevelGenerationEnumeratesAllSets(t *testing.T) {
 				t.Fatalf("duplicate node %v", n.Set)
 			}
 			seen[n.Set] = true
-			if n.parent == nil || prev.Lookup(n.parent.Set) != n.parent {
-				t.Fatalf("node %v has no generating parent in level %d", n.Set, lv-1)
-			}
-			if n.parent.Set != n.Set.Remove(n.Set.Min()) {
-				t.Fatalf("node %v generating parent %v, want the set without its smallest attribute",
-					n.Set, n.parent.Set)
-			}
 		}
 	}
 	if next := NextLevel(cur, 5); len(next.Nodes) != 0 {
@@ -235,17 +226,20 @@ func TestLevelGenerationEnumeratesAllSets(t *testing.T) {
 	}
 }
 
+// TestLazyPartitionMatchesDirectProduct reads every level-3 context of a
+// traversal from a partition memo: generating the levels builds nothing, and
+// each partition the memo builds on first read equals the product of its
+// single-attribute partitions.
 func TestLazyPartitionMatchesDirectProduct(t *testing.T) {
 	tbl := buildTestTable(t, 4, 40, 2)
 	singles := singlesOf(tbl)
-	l1 := Level1(singles)
-	l2 := NextLevel(l1, 4)
-	l3 := NextLevel(l2, 4)
+	memo := partition.NewMemo(tbl, singles, nil)
+	l3 := NextLevel(NextLevel(Level1(4), 4), 4)
+	if _, builds := memo.Stats(); builds != 0 {
+		t.Fatalf("generating the levels built %d partitions", builds)
+	}
 	for _, n := range l3.Nodes {
-		if n.HasPartition() {
-			t.Fatalf("node %v materialized eagerly", n.Set)
-		}
-		got := n.Partition(nil, tbl)
+		got := memo.Get(uint64(n.Set), nil)
 		// Reference: fold singles directly.
 		attrs := n.Set.Attrs()
 		want := singles[attrs[0]]
@@ -261,35 +255,49 @@ func TestLazyPartitionMatchesDirectProduct(t *testing.T) {
 	}
 }
 
+// TestPartitionReleaseAndRematerialize pins the memo's release rule: a
+// partition read in the previous level survives one rotation, two rotations
+// without a read release it and its split base, a later read rebuilds both
+// identically, and the single-attribute partitions are never released.
 func TestPartitionReleaseAndRematerialize(t *testing.T) {
 	tbl := buildTestTable(t, 3, 30, 3)
-	l1 := Level1(singlesOf(tbl))
-	l3 := NextLevel(NextLevel(l1, 3), 3)
-	n := l3.Nodes[0]
-	p1 := n.Partition(nil, tbl)
-	n.ReleasePartition(nil)
-	if n.HasPartition() {
-		t.Fatal("partition not released")
+	singles := singlesOf(tbl)
+	memo := partition.NewMemo(tbl, singles, nil)
+	set := uint64(NextLevel(NextLevel(Level1(3), 3), 3).Nodes[0].Set)
+	p1 := memo.Get(set, nil)
+	want := classesOf(p1)
+	_, built := memo.Stats() // the set and its split base
+	memo.Rotate()
+	if memo.Get(set, nil) != p1 {
+		t.Fatal("one rotation released a partition read in the previous level")
 	}
-	// Release the generating parent too, forcing a rebuild from level 1,
-	// whose single-attribute partitions are never released.
-	n.parent.ReleasePartition(nil)
-	if n.parent.HasPartition() {
-		t.Fatal("parent partition not released")
+	memo.Rotate()
+	memo.Rotate()
+	p2 := memo.Get(set, nil)
+	if _, rebuilt := memo.Stats(); rebuilt != 2*built {
+		t.Fatalf("%d builds after two rotations without a read, want %d", rebuilt, 2*built)
 	}
-	l1.Nodes[0].ReleasePartition(nil)
-	if !l1.Nodes[0].HasPartition() {
-		t.Fatal("a level-1 partition was released")
-	}
-	p2 := n.Partition(nil, tbl)
-	if p1.NumClasses() != p2.NumClasses() || !p1.Refines(p2) || !p2.Refines(p1) {
+	if !reflect.DeepEqual(classesOf(p2), want) {
 		t.Fatal("re-materialized partition differs")
+	}
+	for a, p := range singles {
+		if memo.Get(uint64(NewAttrSet(a)), nil) != p {
+			t.Fatalf("the partition of attribute %d was released", a)
+		}
 	}
 }
 
+// classesOf copies p's classes, which outlive p's recycled buffers.
+func classesOf(p *partition.Stripped) [][]int32 {
+	out := make([][]int32, p.NumClasses())
+	for i := range out {
+		out[i] = append([]int32(nil), p.Class(i)...)
+	}
+	return out
+}
+
 func TestLevelLookup(t *testing.T) {
-	tbl := buildTestTable(t, 3, 10, 4)
-	l1 := Level1(singlesOf(tbl))
+	l1 := Level1(3)
 	if l1.Lookup(NewAttrSet(1)) == nil {
 		t.Error("Lookup {1} failed")
 	}

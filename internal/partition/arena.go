@@ -88,9 +88,9 @@ func (s *ProductScratch) nextClass() {
 }
 
 // Arena recycles partition buffers and split scratch across calls. The
-// discovery engine holds one arena per run: released lattice-level
-// partitions return their CSR buffers to the arena and the next level's
-// splits reuse them, so steady-state traversal allocates nearly nothing.
+// discovery engine holds one arena per run: the partitions its Memo drops
+// return their CSR buffers to the arena and the next level's splits reuse
+// them, so steady-state traversal allocates nearly nothing.
 // An Arena is safe for concurrent use (the parallel engine's workers share
 // one); the zero value is ready to use.
 //

@@ -376,8 +376,14 @@ func (p *Stripped) SplitInto(col *dataset.Column, s *ProductScratch, out *Stripp
 
 // ClassIDs returns a per-row class identifier: rows in the i-th class map to
 // int32(i); stripped (singleton) rows map to -1. The slice has length N.
-func (p *Stripped) ClassIDs() []int32 {
-	ids := make([]int32, p.N)
+func (p *Stripped) ClassIDs() []int32 { return p.classIDsInto(nil) }
+
+// classIDsInto is ClassIDs writing into ids' buffer when it is large enough.
+func (p *Stripped) classIDsInto(ids []int32) []int32 {
+	if cap(ids) < p.N {
+		ids = make([]int32, p.N)
+	}
+	ids = ids[:p.N]
 	for i := range ids {
 		ids[i] = -1
 	}

@@ -160,13 +160,11 @@ func (c *Cluster) note(addr string, fn func(st *WorkerStatus)) {
 }
 
 // Open implements core.ShardPool: one handshake per worker, in parallel,
-// returning a session over the workers that answered. Coordinator-owned
-// policies are stripped from the shipped config (the worker never sees
-// TimeLimit — aborts arrive as canceled calls — nor the coordinator-local
-// sorted-scan route).
+// returning a session over the workers that answered. The coordinator-owned
+// TimeLimit is stripped from the shipped config: the worker never sees it,
+// because aborts arrive as canceled calls.
 func (c *Cluster) Open(ctx context.Context, tbl *dataset.Table, cfg core.Config) (core.ShardSession, error) {
 	cfg.TimeLimit = 0
-	cfg.UseSortedScan = false
 	hello := &helloMsg{
 		Proto:       protoVersion,
 		Fingerprint: dataset.Fingerprint(tbl),

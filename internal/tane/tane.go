@@ -89,17 +89,12 @@ func Discover(tbl *dataset.Table, cfg Config) (*Result, error) {
 		deadline = start.Add(cfg.TimeLimit)
 	}
 
-	arena := partition.NewArena()
-	singles := make([]*partition.Stripped, numAttrs)
-	for a := 0; a < numAttrs; a++ {
-		singles[a] = partition.Single(tbl.Column(a))
-	}
-
+	memo := partition.NewMemo(tbl, nil, nil)
 	res := &Result{}
 	v := validate.New()
-	l0 := lattice.Level0(tbl.NumRows(), numAttrs)
-	cur := lattice.Level1(singles)
-	prev := l0
+	// Level 1's only parent, the empty set, carries no validity state.
+	var prev *lattice.Level
+	cur := lattice.Level1(numAttrs)
 	maxLevel := numAttrs
 	if cfg.MaxLevel > 0 && cfg.MaxLevel < maxLevel {
 		maxLevel = cfg.MaxLevel
@@ -107,6 +102,7 @@ func Discover(tbl *dataset.Table, cfg Config) (*Result, error) {
 
 	for cur.Number <= maxLevel && len(cur.Nodes) > 0 {
 		res.LevelsProcessed++
+		memo.Rotate()
 		candidates := 0
 		for _, node := range cur.Nodes {
 			if !deadline.IsZero() && time.Now().After(deadline) {
@@ -129,8 +125,7 @@ func Discover(tbl *dataset.Table, cfg Config) (*Result, error) {
 				if propagated.Has(a) {
 					continue // valid with a smaller LHS: non-minimal
 				}
-				parent := prev.Lookup(node.Set.Remove(a))
-				ctx := parent.Partition(arena, tbl)
+				ctx := memo.Get(uint64(node.Set.Remove(a)), nil)
 				candidates++
 				res.Candidates++
 				r := v.ApproxOFD(ctx, tbl.Column(a), validate.Options{Threshold: cfg.Threshold})
@@ -151,14 +146,7 @@ func Discover(tbl *dataset.Table, cfg Config) (*Result, error) {
 		if cur.Number == maxLevel {
 			break
 		}
-		next := lattice.NextLevel(cur, numAttrs)
-		prevPrev := prev
-		prev, cur = cur, next
-		if prevPrev != l0 {
-			for _, n := range prevPrev.Nodes {
-				n.ReleasePartition(arena)
-			}
-		}
+		prev, cur = cur, lattice.NextLevel(cur, numAttrs)
 	}
 	res.TotalTime = time.Since(start)
 	sortFDs(res.FDs)
@@ -222,7 +210,14 @@ func ReferenceDiscover(tbl *dataset.Table, cfg Config) (*Result, error) {
 		}
 		return total
 	}
-	valid := func(rem int) bool { return float64(rem)/float64(n) <= cfg.Threshold+1e-12 }
+	// g3 of a 0-row table is 0, as in validate: there is nothing to remove.
+	errOf := func(rem int) float64 {
+		if n == 0 {
+			return 0
+		}
+		return float64(rem) / float64(n)
+	}
+	valid := func(rem int) bool { return errOf(rem) <= cfg.Threshold+1e-12 }
 
 	res := &Result{}
 	full := uint64(1)<<uint(numAttrs) - 1
@@ -259,7 +254,7 @@ func ReferenceDiscover(tbl *dataset.Table, cfg Config) (*Result, error) {
 				res.FDs = append(res.FDs, FD{
 					LHS:      lattice.AttrSet(lhs),
 					RHS:      a,
-					Error:    float64(rem) / float64(n),
+					Error:    errOf(rem),
 					Removals: rem,
 				})
 			}

@@ -47,28 +47,41 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		attrs := 2 + rng.Intn(4)
 		tbl := randomTable(rng, rows, attrs, 2+rng.Intn(4))
 		eps := thresholds[iter%len(thresholds)]
-		cfg := Config{Threshold: eps}
-		got, err := Discover(tbl, cfg)
-		if err != nil {
-			t.Fatal(err)
+		checkAgainstReference(t, fmt.Sprintf("iter %d (ε=%.1f rows=%d attrs=%d)", iter, eps, rows, attrs), tbl, eps)
+	}
+	// With no rows every g3 error is 0; with one row every FD holds.
+	for rows := 0; rows <= 1; rows++ {
+		tbl := randomTable(rng, rows, 3, 2)
+		for _, eps := range thresholds {
+			checkAgainstReference(t, fmt.Sprintf("%d-row table (ε=%.1f)", rows, eps), tbl, eps)
 		}
-		want, err := ReferenceDiscover(tbl, cfg)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// checkAgainstReference asserts that Discover and ReferenceDiscover find the
+// same FDs with the same errors.
+func checkAgainstReference(t *testing.T, label string, tbl *dataset.Table, eps float64) {
+	t.Helper()
+	cfg := Config{Threshold: eps}
+	got, err := Discover(tbl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReferenceDiscover(tbl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := fdKeySet(got), fdKeySet(want)
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d FDs, reference %d\ngot %v\nwant %v", label, len(g), len(w), got.FDs, want.FDs)
+	}
+	for k, e := range w {
+		ge, ok := g[k]
+		if !ok {
+			t.Fatalf("%s: missing FD %s", label, k)
 		}
-		g, w := fdKeySet(got), fdKeySet(want)
-		if len(g) != len(w) {
-			t.Fatalf("iter %d (ε=%.1f rows=%d attrs=%d): %d FDs, reference %d\ngot %v\nwant %v",
-				iter, eps, rows, attrs, len(g), len(w), got.FDs, want.FDs)
-		}
-		for k, e := range w {
-			ge, ok := g[k]
-			if !ok {
-				t.Fatalf("iter %d: missing FD %s", iter, k)
-			}
-			if math.Abs(ge-e) > 1e-9 {
-				t.Fatalf("iter %d: FD %s error %g, want %g", iter, k, ge, e)
-			}
+		if math.Abs(ge-e) > 1e-9 {
+			t.Fatalf("%s: FD %s error %g, want %g", label, k, ge, e)
 		}
 	}
 }

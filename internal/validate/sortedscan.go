@@ -2,6 +2,7 @@ package validate
 
 import (
 	"sort"
+	"sync"
 
 	"aod/internal/dataset"
 )
@@ -10,15 +11,21 @@ import (
 // the attribute's ranks (ties by row id) — the "sorted partition" device of
 // the set-based framework [9]: with the global order precomputed once per
 // attribute, an exact OC candidate can be checked by a single linear scan,
-// with no per-candidate sorting.
+// with no per-candidate sorting. It is safe for concurrent use: each order
+// is built once, however many engines ask for it.
 type TableOrders struct {
 	tbl    *dataset.Table
-	orders [][]int32
+	orders []tableOrder
+}
+
+type tableOrder struct {
+	once sync.Once
+	rows []int32
 }
 
 // NewTableOrders returns a lazy per-attribute order cache for the table.
 func NewTableOrders(tbl *dataset.Table) *TableOrders {
-	return &TableOrders{tbl: tbl, orders: make([][]int32, tbl.NumCols())}
+	return &TableOrders{tbl: tbl, orders: make([]tableOrder, tbl.NumCols())}
 }
 
 // Order returns rows sorted ascending by attribute a's ranks (ties by row
@@ -27,23 +34,23 @@ func NewTableOrders(tbl *dataset.Table) *TableOrders {
 // cutting the cold-start cost on wide tables from O(cols · n log n) to
 // O(cols · n).
 func (to *TableOrders) Order(a int) []int32 {
-	if to.orders[a] != nil {
-		return to.orders[a]
-	}
-	n := to.tbl.NumRows()
-	ranks := to.tbl.Column(a).Ranks()
+	o := &to.orders[a]
+	o.once.Do(func() { o.rows = sortRowsByRank(to.tbl.Column(a)) })
+	return o.rows
+}
+
+func sortRowsByRank(col *dataset.Column) []int32 {
+	n := col.Len()
+	ranks := col.Ranks()
 	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
 	}
 	if n < radixCutoff {
 		sort.SliceStable(order, func(i, j int) bool { return ranks[order[i]] < ranks[order[j]] })
-	} else {
-		maxRank := int32(to.tbl.Column(a).NumDistinct() - 1)
-		order = radixSortRowsByRank(order, make([]int32, n), ranks, maxRank)
+		return order
 	}
-	to.orders[a] = order
-	return order
+	return radixSortRowsByRank(order, make([]int32, n), ranks, int32(col.NumDistinct()-1))
 }
 
 // scanScratch holds the stamped per-class state for ExactOCScan. Two

@@ -35,7 +35,7 @@ func (p *PreparedDataset) Dataset() *Dataset { return p.d }
 func (p *PreparedDataset) MemBytes() int64 { return p.prep.MemBytes() }
 
 // PartitionArena is a size-capped partition-buffer pool shared across
-// discovery runs: buffers released by one run's lattice traversal are reused
+// discovery runs: partition buffers one run's traversal drops are reused
 // by the next instead of being reallocated, holding at most the configured
 // byte budget. Safe for concurrent use by any number of runs.
 type PartitionArena struct {
