@@ -158,6 +158,13 @@ func BenchmarkValidateAOCIterative(b *testing.B) {
 }
 
 // BenchmarkValidateOCExact isolates the exact check (linear after sorting).
+// BenchmarkValidateOCExact times exact OC validation. n=… sorts the universe
+// context's one class for a candidate that fails. The other cases time a
+// candidate that holds, so each route does its full work, on both sides of
+// the engine's class-size cut (core's scanMinClassRows): sort/n=… and
+// scan/n=… validate it in the universe context, small/n=… and
+// small/scan/n=… in a context of 8-row classes. The scan cases leave out
+// the context's class ids, which discovery builds once per context.
 func BenchmarkValidateOCExact(b *testing.B) {
 	for _, n := range []int{1000, 10_000, 100_000} {
 		ctx, ca, cb := validatorWorkload(n)
@@ -168,6 +175,38 @@ func BenchmarkValidateOCExact(b *testing.B) {
 				v.ExactOC(ctx, ca, cb)
 			}
 		})
+		hold := gen.CorrelatedPair(n, 0, 42)
+		ha, hb := hold.Column(0), hold.Column(1)
+		order := validate.NewTableOrders(hold).Order(0)
+		eights := make([]int64, n)
+		for i := range eights {
+			eights[i] = int64(i / 8)
+		}
+		smallTbl, err := dataset.NewBuilder().AddInts("c", eights).Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			sort, scan string
+			ctx        *partition.Stripped
+		}{
+			{"sort/n=%d", "scan/n=%d", ctx},
+			{"small/n=%d", "small/scan/n=%d", partition.Single(smallTbl.Column(0))},
+		} {
+			b.Run(fmt.Sprintf(c.sort, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v.ExactOC(c.ctx, ha, hb)
+				}
+			})
+			ids := c.ctx.ClassIDs()
+			b.Run(fmt.Sprintf(c.scan, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v.ExactOCScan(ids, c.ctx.NumClasses(), order, ha, hb)
+				}
+			})
+		}
 	}
 }
 
@@ -254,31 +293,26 @@ func BenchmarkAblationPruning(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSampling measures the hybrid-sampling pre-filter.
+// BenchmarkAblationSampling times default approximate discovery (ε 0.10) on
+// the table the retired hybrid-sampling pre-filter was measured on; "off" is
+// the configuration its strides were compared against.
 func BenchmarkAblationSampling(b *testing.B) {
 	tbl := gen.Flight(gen.FlightConfig{Rows: 8000, Attrs: 8, Seed: 42})
-	for _, stride := range []int{0, 4, 16} {
-		name := "off"
-		if stride > 0 {
-			name = fmt.Sprintf("stride=%d", stride)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := core.Config{Threshold: 0.10, Validator: core.ValidatorOptimal, SampleStride: stride}
-				if _, err := core.Discover(tbl, cfg); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("off", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Discover(tbl, core.Config{Threshold: 0.10, Validator: core.ValidatorOptimal}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
-// BenchmarkAblationSortedScan measures the sorted-partition scan route for
-// exact OC validation against the per-class sort route, on a wide-context
-// shape (Flight 20000×8, where contexts cover most rows) and a deep one
-// (ncvoter 7000×14, 13 levels of contexts that cover few rows, where the
-// scan's O(rows) per candidate loses to sorting the classes).
+// BenchmarkAblationSortedScan times exact discovery, which picks the
+// sorted-partition scan or the per-class sort for each OC candidate from its
+// context, on a wide-context shape (Flight 20000×8, where contexts cover most
+// rows and the scan wins) and a deep one (ncvoter 7000×14, 13 levels of
+// contexts that cover few rows, where sorting the classes wins).
 func BenchmarkAblationSortedScan(b *testing.B) {
 	for _, w := range []struct {
 		name string
@@ -287,19 +321,14 @@ func BenchmarkAblationSortedScan(b *testing.B) {
 		{"flight-20000x8", gen.Flight(gen.FlightConfig{Rows: 20000, Attrs: 8, Seed: 42})},
 		{"ncvoter-7000x14", gen.NCVoter(gen.NCVoterConfig{Rows: 7000, Attrs: 14, Seed: 42})},
 	} {
-		for _, route := range []struct {
-			name string
-			scan bool
-		}{{"sort", false}, {"scan", true}} {
-			b.Run(w.name+"/"+route.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Discover(w.tbl, core.Config{Validator: core.ValidatorExact, UseSortedScan: route.scan}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Discover(w.tbl, core.Config{Validator: core.ValidatorExact}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

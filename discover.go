@@ -69,10 +69,6 @@ func (a Algorithm) kind() core.ValidatorKind {
 	}
 }
 
-// DefaultSampleSlack is the hybrid-sampling rejection margin applied when
-// Options.SampleSlack is zero and SampleStride enables sampling.
-const DefaultSampleSlack = core.DefaultSampleSlack
-
 // Options configures Discover. The zero value runs the optimal validator
 // with threshold 0 (equivalent to exact discovery); set Threshold to the
 // tolerated exception fraction (the paper's experiments default to 0.10) to
@@ -98,16 +94,6 @@ type Options struct {
 	// many workers (0 or 1 = sequential) when ShardPool is nil. Results are
 	// identical to the sequential run.
 	Parallelism int `json:"parallelism,omitempty"`
-	// SampleStride > 1 enables hybrid-sampling pre-filtering of AOC
-	// candidates (the paper's future-work direction): candidates whose
-	// error estimate on every SampleStride-th tuple exceeds
-	// Threshold+SampleSlack are rejected without a full validation. All
-	// reported dependencies are still fully validated; the mode trades a
-	// small completeness risk for validation time.
-	SampleStride int `json:"sampleStride,omitempty"`
-	// SampleSlack is the hybrid-sampling rejection margin
-	// (0 = DefaultSampleSlack; negative is rejected).
-	SampleSlack float64 `json:"sampleSlack,omitempty"`
 	// Bidirectional additionally searches mixed-direction order
 	// compatibilities "A ∼ B↓" (A ascending, B descending), after the
 	// bidirectional OD framework the paper builds upon.
@@ -137,8 +123,6 @@ func (o Options) config() core.Config {
 		IncludeOFDs:        o.IncludeOFDs,
 		CollectRemovalSets: o.CollectRemovalSets,
 		TimeLimit:          o.TimeLimit,
-		SampleStride:       o.SampleStride,
-		SampleSlack:        o.SampleSlack,
 		Bidirectional:      o.Bidirectional,
 	}
 }

@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
+
+	"aod/internal/lattice"
 )
 
 // TestDiscoverContextPreCanceled: an already-canceled context aborts before
@@ -95,5 +99,42 @@ func TestDiscoverContextBackgroundMatchesDiscover(t *testing.T) {
 	if len(got.OCs) != len(want.OCs) || len(got.OFDs) != len(want.OFDs) {
 		t.Errorf("results differ: %d/%d OCs, %d/%d OFDs",
 			len(got.OCs), len(want.OCs), len(got.OFDs), len(want.OFDs))
+	}
+}
+
+// TestTaskRunnerIgnoresTimeLimit pins TimeLimit as coordinator policy: a
+// runner handed a config whose limit has long passed still runs every task
+// of a level, with the results of a runner built without one.
+func TestTaskRunnerIgnoresTimeLimit(t *testing.T) {
+	tbl := randomTable(rand.New(rand.NewSource(3)), 300, 5, 4)
+	prep := Prepare(tbl)
+	cfg := Config{Threshold: 0.1, Validator: ValidatorOptimal, IncludeOFDs: true}
+	limited := cfg
+	limited.TimeLimit = time.Nanosecond
+	late, err := prep.NewTaskRunner(limited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := prep.NewTaskRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Millisecond)
+	var tasks []NodeTask
+	for set := uint64(0); set < 1<<tbl.NumCols(); set++ {
+		if bits.OnesCount64(set) == 2 {
+			tasks = append(tasks, NodeTask{Set: set, Level: 2, ParentConst: make([]uint64, 2),
+				OCValid: lattice.NewPairSet(tbl.NumCols()).Words()})
+		}
+	}
+	got, want := late.RunLevel(context.Background(), tasks), plain.RunLevel(context.Background(), tasks)
+	for i := range got {
+		if got[i].Candidates == 0 {
+			t.Fatalf("task %d (set %b) ran no candidates after the time limit passed", i, tasks[i].Set)
+		}
+		got[i].Stats, want[i].Stats = TaskStats{}, TaskStats{}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("results under a passed time limit differ:\nlimited: %+v\nplain:   %+v", got, want)
 	}
 }

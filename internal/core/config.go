@@ -72,32 +72,17 @@ type Config struct {
 	// removal-set row ids (useful for error repair / outlier detection).
 	CollectRemovalSets bool
 	// TimeLimit aborts discovery after the given wall-clock duration,
-	// returning partial results with Stats.TimedOut set. 0 disables.
+	// returning partial results with Stats.TimedOut set. 0 disables. It is
+	// coordinator policy: only Pipeline.Run reads it, to set the run's
+	// deadline. A TaskRunner never does (a shard worker's tasks stop when the
+	// coordinator cancels their RunLevel context), so the field may ride
+	// along in any config handed to one.
 	TimeLimit time.Duration
-	// SampleStride > 1 enables hybrid-sampling pre-filtering of AOC
-	// candidates (the paper's future-work direction after [6]): a candidate
-	// is first estimated on every SampleStride-th tuple of each class and
-	// rejected without full validation when the estimate exceeds
-	// Threshold + SampleSlack. Accepted candidates are always re-validated
-	// in full, so every reported dependency remains truly valid and minimal;
-	// the mode trades a small completeness risk (a candidate whose sample
-	// wildly overestimates its error is lost) for validation time. Ignored
-	// by the exact validator.
-	SampleStride int
-	// SampleSlack is the rejection margin for hybrid sampling; 0 means
-	// DefaultSampleSlack. It must not be negative: a negative margin would
-	// reject candidates whose sampled error is within the threshold.
-	SampleSlack float64
 	// DisablePruning is an ablation switch: every candidate is validated
 	// even when minimality/constancy pruning could skip it (reported
 	// dependencies are still filtered to the minimal set). Used to measure
 	// the pruning benefit the paper's Exp-5 relies on.
 	DisablePruning bool
-	// UseSortedScan switches exact-OC validation to the sorted-partition
-	// linear scan of the set-based framework [9] (per-attribute global
-	// orders precomputed once, O(|r|) per candidate) instead of the
-	// per-class sort. Only affects ValidatorExact; results are identical.
-	UseSortedScan bool
 	// Bidirectional additionally searches mixed-direction order
 	// compatibilities X: A ∼ B↓ (A ascending, B descending), after the
 	// bidirectional framework of Szlichta et al. (VLDBJ 2018, reference
@@ -106,10 +91,6 @@ type Config struct {
 	// searched separately.
 	Bidirectional bool
 }
-
-// DefaultSampleSlack is the hybrid-sampling rejection margin applied when
-// Config.SampleSlack is zero.
-const DefaultSampleSlack = 0.05
 
 // Validate checks the configuration against a schema width.
 func (c Config) Validate(numAttrs int) error {
@@ -129,9 +110,6 @@ func (c Config) Validate(numAttrs int) error {
 	}
 	if c.MaxLevel < 0 {
 		return fmt.Errorf("core: MaxLevel must be >= 0, got %d", c.MaxLevel)
-	}
-	if c.SampleSlack < 0 {
-		return fmt.Errorf("core: SampleSlack must be >= 0, got %g", c.SampleSlack)
 	}
 	return nil
 }

@@ -336,7 +336,6 @@ func TestDiscoverConfigErrors(t *testing.T) {
 		{Threshold: 1.5},
 		{Validator: ValidatorKind(9)},
 		{MaxLevel: -1},
-		{SampleStride: 4, SampleSlack: -0.1},
 	}
 	for i, cfg := range cases {
 		if _, err := Discover(tbl, cfg); err == nil {

@@ -163,11 +163,11 @@ func (t *traversal) buildSingles(workers int) bool {
 }
 
 // openMemo puts the run's partitions behind one memo, the partition source of
-// every engine, and builds the per-attribute row orders when the exact
-// validator takes the sorted-scan route.
+// every engine, and, under the exact validator, opens the lazy per-attribute
+// row orders of the sorted-scan route.
 func (t *traversal) openMemo() {
 	t.memo = partition.NewMemo(t.tbl, t.singles, t.arena)
-	if t.cfg.UseSortedScan && t.cfg.Validator == ValidatorExact {
+	if t.cfg.Validator == ValidatorExact {
 		t.orders = validate.NewTableOrders(t.tbl)
 	}
 }

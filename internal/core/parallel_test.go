@@ -59,9 +59,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 // non-timing stats.
 func TestParallelSingleWorkerDelegates(t *testing.T) {
 	tbl := paperTable1(t)
-	// Every executor takes the sorted-scan route, so prepare builds its
-	// orders for all of them; the single engine shows in the engine count.
-	scan := Config{Validator: ValidatorExact, UseSortedScan: true}
+	// Every executor opens the sorted-scan route's orders for the exact
+	// validator; the single engine shows in the engine count.
+	scan := Config{Validator: ValidatorExact}
 	for _, tc := range []struct {
 		name    string
 		exec    Executor
@@ -84,7 +84,7 @@ func TestParallelSingleWorkerDelegates(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Threshold: 0.12, Validator: ValidatorOptimal, IncludeOFDs: true},
-		{Validator: ValidatorExact, IncludeOFDs: true, UseSortedScan: true},
+		{Validator: ValidatorExact, IncludeOFDs: true},
 	} {
 		r, err := Pipeline{Executor: Pool(1)}.Run(context.Background(), tbl, cfg)
 		if err != nil {

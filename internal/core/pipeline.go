@@ -123,7 +123,7 @@ type traversal struct {
 	// partition.Memo); it is opened over singles once they are built.
 	memo *partition.Memo
 	// orders are the per-attribute row orders of the exact sorted-scan
-	// route; nil unless the exact validator runs with UseSortedScan.
+	// route (see takesScan); nil unless the validator is exact.
 	orders   *validate.TableOrders
 	start    time.Time
 	deadline time.Time

@@ -20,17 +20,18 @@ func zeroTimes(s *Stats) {
 
 // TestSerialParallelStatsIdentical pins the post-unification invariant: the
 // serial and pool executors run the same planner and node-processing code, so
-// every non-timing stat — candidate counts, skip counters, sampling
-// rejections, per-level found counts — is identical, not merely the result
-// sets. (The pre-pipeline engine double-booked these in two level loops and
-// silently dropped OCSampledRejected on the parallel path.)
+// every non-timing stat — candidate counts, skip counters, per-level found
+// counts — is identical, not merely the result sets. (The pre-pipeline engine
+// double-booked these in two level loops and silently dropped a counter on
+// the parallel path.) The bidirectional exact row runs reversed B columns
+// through the sorted-scan route on the wide contexts.
 func TestSerialParallelStatsIdentical(t *testing.T) {
 	tbl := gen.Flight(gen.FlightConfig{Rows: 1500, Attrs: 8, Seed: 17})
 	cfgs := []Config{
 		{Threshold: 0.10, Validator: ValidatorOptimal, IncludeOFDs: true},
 		{Threshold: 0.10, Validator: ValidatorOptimal, IncludeOFDs: true, Bidirectional: true},
 		{Validator: ValidatorExact, IncludeOFDs: true},
-		{Threshold: 0.15, Validator: ValidatorOptimal, SampleStride: 4},
+		{Validator: ValidatorExact, IncludeOFDs: true, Bidirectional: true},
 	}
 	for _, cfg := range cfgs {
 		seq, err := Discover(tbl, cfg)

@@ -106,9 +106,6 @@ type Stats struct {
 	OCSkippedMinimality, OCSkippedConstancy int
 	// OFDSkipped counts OFD candidates skipped by minimality propagation.
 	OFDSkipped int
-	// OCSampledRejected counts OC candidates rejected by the
-	// hybrid-sampling pre-filter without a full validation.
-	OCSampledRejected int
 	// OCsFound / OFDsFound per lattice level (index = level).
 	OCsFoundPerLevel, OFDsFoundPerLevel []int
 	// ValidationTime is the wall-clock time spent inside validators — the

@@ -56,13 +56,12 @@ type TaskRunner struct {
 }
 
 // NewTaskRunner validates the configuration against the table and returns a
-// runner for one job. A worker never honors TimeLimit: the coordinator owns
-// abort policy, via the RunLevel context.
+// runner for one job. A runner sets no deadline, so it ignores TimeLimit: the
+// coordinator owns abort policy, via the RunLevel context.
 func (p *PreparedTable) NewTaskRunner(cfg Config) (*TaskRunner, error) {
 	if err := cfg.Validate(p.tbl.NumCols()); err != nil {
 		return nil, err
 	}
-	cfg.TimeLimit = 0
 	t := &traversal{
 		tbl:      p.tbl,
 		cfg:      cfg,

@@ -72,7 +72,6 @@ type TaskStats struct {
 	OCSkippedMinimality int           `json:"ocSkippedMinimality,omitempty"`
 	OCSkippedConstancy  int           `json:"ocSkippedConstancy,omitempty"`
 	OFDSkipped          int           `json:"ofdSkipped,omitempty"`
-	OCSampledRejected   int           `json:"ocSampledRejected,omitempty"`
 	ValidationTime      time.Duration `json:"validationNs,omitempty"`
 	PartitionTime       time.Duration `json:"partitionNs,omitempty"`
 }
@@ -84,7 +83,6 @@ func (ts *TaskStats) addTo(s *Stats) {
 	s.OCSkippedMinimality += ts.OCSkippedMinimality
 	s.OCSkippedConstancy += ts.OCSkippedConstancy
 	s.OFDSkipped += ts.OFDSkipped
-	s.OCSampledRejected += ts.OCSampledRejected
 	s.ValidationTime += ts.ValidationTime
 	s.PartitionTime += ts.PartitionTime
 }
@@ -266,11 +264,6 @@ func (e *engine) execTask(task *NodeTask, nr *NodeResult) {
 				st.OCCandidates++
 				nr.Candidates++
 				t0 := time.Now()
-				if e.sampleRejects(ctx, a, b, desc) {
-					st.OCSampledRejected++
-					st.ValidationTime += time.Since(t0)
-					continue
-				}
 				r := e.validateOCVia(gpSet, ctx, a, b, desc)
 				st.ValidationTime += time.Since(t0)
 				if r.Valid {

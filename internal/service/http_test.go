@@ -206,6 +206,34 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPostJobRefusesRetiredOptions: the hybrid-sampling options are gone, so
+// a job body that still carries sampleStride or sampleSlack is refused with
+// 400 by the strict decode instead of running without them.
+func TestPostJobRefusesRetiredOptions(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	srv := httptest.NewServer(NewHandler(svc, HandlerConfig{}))
+	defer srv.Close()
+	client := srv.Client()
+	var info DatasetInfo
+	if code, raw := doJSON(t, client, http.MethodPost, srv.URL+"/datasets?name=employees",
+		strings.NewReader(employeesCSV), &info); code != http.StatusCreated {
+		t.Fatalf("POST /datasets status %d: %s", code, raw)
+	}
+	for _, opts := range []string{`{"threshold":0.1,"sampleStride":8}`, `{"threshold":0.1,"sampleSlack":0.05}`} {
+		body := fmt.Sprintf(`{"datasetId":%q,"options":%s}`, info.ID, opts)
+		if code, raw := doJSON(t, client, http.MethodPost, srv.URL+"/jobs",
+			strings.NewReader(body), nil); code != http.StatusBadRequest {
+			t.Errorf("POST /jobs with options %s: status %d (%s), want 400", opts, code, raw)
+		}
+	}
+	body := fmt.Sprintf(`{"datasetId":%q,"options":{"threshold":0.1}}`, info.ID)
+	if code, raw := doJSON(t, client, http.MethodPost, srv.URL+"/jobs",
+		strings.NewReader(body), nil); code != http.StatusAccepted {
+		t.Errorf("POST /jobs without them: status %d (%s), want 202", code, raw)
+	}
+}
+
 // TestServerErrorPaths exercises the API's failure statuses.
 func TestServerErrorPaths(t *testing.T) {
 	svc := New(Config{Workers: 1})

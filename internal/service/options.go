@@ -19,16 +19,8 @@ func canonicalOptions(o aod.Options) aod.Options {
 	// a limit also bypass in-flight sharing; see Service.compute.)
 	o.TimeLimit = 0
 	if o.Algorithm == aod.AlgorithmExact {
-		// The exact validator treats ε as 0 and ignores sampling.
+		// The exact validator treats ε as 0.
 		o.Threshold = 0
-		o.SampleStride = 0
-	}
-	if o.SampleStride <= 1 {
-		// Sampling disabled: the slack is inert.
-		o.SampleStride = 0
-		o.SampleSlack = 0
-	} else if o.SampleSlack == 0 {
-		o.SampleSlack = aod.DefaultSampleSlack
 	}
 	return o
 }

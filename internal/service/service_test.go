@@ -438,9 +438,6 @@ func TestSubmitValidatesOptions(t *testing.T) {
 	if _, err := s.Submit(info.ID, aod.Options{MaxLevel: -1}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("negative MaxLevel: err = %v, want ErrInvalidOptions", err)
 	}
-	if _, err := s.Submit(info.ID, aod.Options{SampleStride: 4, SampleSlack: -0.1}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("negative SampleSlack: err = %v, want ErrInvalidOptions", err)
-	}
 	v, err := s.Submit(info.ID, aod.Options{Threshold: 0.1, Parallelism: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -492,7 +489,6 @@ func TestCanonicalOptionsKey(t *testing.T) {
 	same := []aod.Options{
 		{Threshold: 0.1, Parallelism: 8},
 		{Threshold: 0.1, TimeLimit: time.Hour},
-		{Threshold: 0.1, SampleSlack: 0.2}, // inert without a stride
 	}
 	for i, o := range same {
 		if cacheKey(fp, o) != cacheKey(fp, base) {
@@ -505,7 +501,6 @@ func TestCanonicalOptionsKey(t *testing.T) {
 		{Threshold: 0.1, IncludeOFDs: true},
 		{Threshold: 0.1, MaxLevel: 2},
 		{Threshold: 0.1, Bidirectional: true},
-		{Threshold: 0.1, SampleStride: 4},
 	}
 	for i, o := range diff {
 		if cacheKey(fp, o) == cacheKey(fp, base) {
@@ -516,11 +511,6 @@ func TestCanonicalOptionsKey(t *testing.T) {
 	if cacheKey(fp, aod.Options{Algorithm: aod.AlgorithmExact, Threshold: 0.3}) !=
 		cacheKey(fp, aod.Options{Algorithm: aod.AlgorithmExact}) {
 		t.Error("exact-validator thresholds should canonicalize away")
-	}
-	// The default sampling slack is pinned explicitly.
-	if cacheKey(fp, aod.Options{SampleStride: 4}) !=
-		cacheKey(fp, aod.Options{SampleStride: 4, SampleSlack: 0.05}) {
-		t.Error("default sample slack should canonicalize to 0.05")
 	}
 }
 

@@ -160,11 +160,10 @@ func (c *Cluster) note(addr string, fn func(st *WorkerStatus)) {
 }
 
 // Open implements core.ShardPool: one handshake per worker, in parallel,
-// returning a session over the workers that answered. The coordinator-owned
-// TimeLimit is stripped from the shipped config: the worker never sees it,
-// because aborts arrive as canceled calls.
+// returning a session over the workers that answered. The config ships
+// whole; a worker's TaskRunner ignores TimeLimit, because aborts arrive as
+// canceled calls.
 func (c *Cluster) Open(ctx context.Context, tbl *dataset.Table, cfg core.Config) (core.ShardSession, error) {
-	cfg.TimeLimit = 0
 	hello := &helloMsg{
 		Proto:       protoVersion,
 		Fingerprint: dataset.Fingerprint(tbl),

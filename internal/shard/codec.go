@@ -505,7 +505,6 @@ func encodeResultPayload(b []byte, m *resultMsg) ([]byte, error) {
 		b = appendUvarint(b, uint64(st.OCSkippedMinimality))
 		b = appendUvarint(b, uint64(st.OCSkippedConstancy))
 		b = appendUvarint(b, uint64(st.OFDSkipped))
-		b = appendUvarint(b, uint64(st.OCSampledRejected))
 		b = appendUvarint(b, uint64(st.ValidationTime))
 		b = appendUvarint(b, uint64(st.PartitionTime))
 	}
@@ -606,8 +605,8 @@ func decodeResultPayload(r *wireReader) (*resultMsg, error) {
 			}
 		}
 		st := &nr.Stats
-		ints := [6]*int{&st.OCCandidates, &st.OFDCandidates, &st.OCSkippedMinimality,
-			&st.OCSkippedConstancy, &st.OFDSkipped, &st.OCSampledRejected}
+		ints := [5]*int{&st.OCCandidates, &st.OFDCandidates, &st.OCSkippedMinimality,
+			&st.OCSkippedConstancy, &st.OFDSkipped}
 		for _, p := range ints {
 			v, err := r.uvarint()
 			if err != nil {

@@ -145,12 +145,13 @@ func FuzzDecodeTasks(f *testing.F) {
 // retiredBinParts is the binary type byte of protocol v3's parts frame.
 const retiredBinParts byte = 4
 
-// FuzzDecodePartitionFrame pins protocol v4's refusal of the parts frame
+// FuzzDecodePartitionFrame pins the current protocol's refusal of the parts frame
 // that v3 coordinators used to ship context partitions in: decoding
 // arbitrary bytes never panics, and no binary body in the retired layout
 // decodes — not a v3 peer's frame, not one stamped with the current or a
 // future version byte, and not a truncated or structurally broken one. Every
-// binary body the decoder does accept is a v4 dataset, level or result frame.
+// binary body the decoder does accept is a dataset, level or result frame of
+// the current version.
 func FuzzDecodePartitionFrame(f *testing.F) {
 	// partsBody lays out a parts frame as v3 encoded it: level, entry count,
 	// then per entry the attribute set, the row count, and the CSR rows and

@@ -53,9 +53,11 @@ import (
 // hello whose version it does not speak, and the coordinator treats that
 // worker as unusable. Version 2 replaced the JSON payload frames of v1 with
 // the binary codec in codec.go (columnar datasets, flat task/result records);
-// version 3 added a parts frame of coordinator-built context partitions, and
-// version 4 removed it again: workers fold every partition they read.
-const protoVersion = 4
+// version 3 added a parts frame of coordinator-built context partitions,
+// version 4 removed it again (workers fold every partition they read), and
+// version 5 dropped the sampled-rejection counter from the result record's
+// stats fragment.
+const protoVersion = 5
 
 // maxFrameBytes bounds a single frame (the dataset frame dominates; task and
 // result frames are small). Oversized frames poison the connection.

@@ -63,11 +63,12 @@ func requireIdentical(t *testing.T, label string, want, got *core.Result) {
 
 // TestExecutorEquivalenceMatrix pins Serial ≡ Pool ≡ Sharded(loopback) —
 // results in exact discovery order and identical non-timing stats — across
-// every validator, with sampling, bidirectional search, OFD reporting, and
-// removal-set collection in the mix; exact-scan runs every executor on the
-// sorted-scan route against a serial run on the same route. The ncvoter
-// table runs 7–9 levels deep, where pool workers share one partition memo and
-// shard workers fold long split chains in theirs.
+// every validator, with bidirectional search, OFD reporting, and removal-set
+// collection in the mix. Exact candidates over wide contexts take the
+// sorted-scan route under every executor; exact-scan adds bidirectional
+// search, so reversed B columns take it too. The ncvoter table runs 7–9
+// levels deep, where pool workers share one partition memo and shard workers
+// fold long split chains in theirs.
 func TestExecutorEquivalenceMatrix(t *testing.T) {
 	tables := map[string]*dataset.Table{
 		"flight":  gen.Flight(gen.FlightConfig{Rows: 300, Attrs: 7, Seed: 11}),
@@ -76,10 +77,9 @@ func TestExecutorEquivalenceMatrix(t *testing.T) {
 	}
 	configs := map[string]core.Config{
 		"exact":      {Validator: core.ValidatorExact, IncludeOFDs: true},
-		"exact-scan": {Validator: core.ValidatorExact, IncludeOFDs: true, UseSortedScan: true},
+		"exact-scan": {Validator: core.ValidatorExact, IncludeOFDs: true, Bidirectional: true},
 		"optimal":    {Threshold: 0.10, Validator: core.ValidatorOptimal, IncludeOFDs: true, CollectRemovalSets: true},
 		"iterative":  {Threshold: 0.10, Validator: core.ValidatorIterative, IncludeOFDs: true},
-		"sampled":    {Threshold: 0.10, Validator: core.ValidatorOptimal, SampleStride: 4},
 		"bidi":       {Threshold: 0.08, Validator: core.ValidatorOptimal, Bidirectional: true, IncludeOFDs: true},
 	}
 	for tname, tbl := range tables {

@@ -1,11 +1,11 @@
 package validate
 
 // Count-only kernels for OptimalAOC and ExactOC when no removal rows are
-// collected, and for SampledAOCEstimate. Discovery reads only whether a
-// candidate is valid and, if so, its removal count, so a class is packed
-// into bare (A-rank << 32 | B-rank) keys (pairKV's key without the row),
-// sorted with as little work as the class needs, and its LNDS is taken as a
-// length straight off the sorted keys. Equal keys are interchangeable in a
+// collected. Discovery reads only whether a candidate is valid and, if so,
+// its removal count, so a class is packed into bare (A-rank << 32 | B-rank)
+// keys (pairKV's key without the row), sorted with as little work as the
+// class needs, and its LNDS is taken as a length straight off the sorted
+// keys. Equal keys are interchangeable in a
 // count, so dropping the row ids changes none. Before any of that,
 // OptimalAOC takes swapMatching's lower bound, which needs no sort at all.
 

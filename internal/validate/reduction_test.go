@@ -85,11 +85,12 @@ func TestLNDSFuncAgreesWithLNDS(t *testing.T) {
 	}
 }
 
-// The sampled estimate must never exceed 1 and never be negative, and must
-// be exact when the stride covers everything.
+// A rejected candidate's error is a lower bound from the swap matching or a
+// stopped count: it must stay in [0, 1] and never exceed the full error.
 func TestSampledEstimateBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(125))
 	v := New()
+	aborted := 0
 	for iter := 0; iter < 100; iter++ {
 		rows := 2 + rng.Intn(100)
 		b := dataset.NewBuilder()
@@ -105,11 +106,19 @@ func TestSampledEstimateBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := partition.Universe(rows)
-		for _, stride := range []int{1, 2, 4, 7} {
-			est, _ := v.SampledAOCEstimate(ctx, tbl.Column(0), tbl.Column(1), stride)
-			if est < 0 || est > 1 {
-				t.Fatalf("iter %d stride %d: estimate %g out of range", iter, stride, est)
+		full := v.OptimalAOC(ctx, tbl.Column(0), tbl.Column(1), Options{ComputeFullError: true})
+		for _, eps := range []float64{0, 0.05, 0.1, 0.25} {
+			r := v.OptimalAOC(ctx, tbl.Column(0), tbl.Column(1), Options{Threshold: eps})
+			if !r.Aborted {
+				continue
+			}
+			aborted++
+			if r.Error < 0 || r.Error > 1 || r.Error > full.Error {
+				t.Fatalf("iter %d ε=%.2f: aborted error %g outside [0, min(1, full %g)]", iter, eps, r.Error, full.Error)
 			}
 		}
+	}
+	if aborted == 0 {
+		t.Fatal("no candidate was rejected early")
 	}
 }

@@ -238,52 +238,6 @@ func (v *Validator) optimalSorted(ctx *partition.Stripped, a, b *dataset.Column,
 	return finish(removals, n, opts, false, removed)
 }
 
-// SampledAOCEstimate cheaply estimates the approximation factor of the AOC
-// X: A ∼ B by running the optimal validator on every stride-th tuple of each
-// context class. Because any removal set for the full class restricts to a
-// removal set for the sample, the estimate is (in expectation) a slight
-// underestimate of the true factor; discovery uses it as a pre-filter in the
-// hybrid-sampling mode inspired by Papenbrock & Naumann's hybrid FD
-// discovery (reference [6], the paper's future-work direction), always
-// confirming acceptances with a full validation.
-//
-// It returns the estimated approximation factor and the number of sampled
-// tuples (0 when stride produces an empty sample, in which case the estimate
-// is 0).
-func (v *Validator) SampledAOCEstimate(ctx *partition.Stripped, a, b *dataset.Column, stride int) (float64, int) {
-	if stride < 1 {
-		stride = 1
-	}
-	ra, rb := a.Ranks(), b.Ranks()
-	removals, sampled := 0, 0
-	for ci, nc := 0, ctx.NumClasses(); ci < nc; ci++ {
-		cls := ctx.Class(ci)
-		m := (len(cls) + stride - 1) / stride
-		if m < 2 {
-			sampled += m
-			continue
-		}
-		v.growKeys(m)
-		keys := v.keys[:m]
-		var diff uint64
-		for i := range keys {
-			row := cls[i*stride]
-			keys[i] = packKey(ra[row], rb[row])
-			diff |= keys[i] ^ keys[0]
-		}
-		removals += v.lndsRemovals(v.sortKeys(keys, diff), math.MaxInt)
-		sampled += m
-	}
-	// Singleton-stripped rows are swap-free; scale the denominator the same
-	// way the full validator does (per-table rows), approximated by the
-	// sampled fraction of the table.
-	denom := sampled + (ctx.N-ctx.Size()+stride-1)/stride
-	if denom == 0 {
-		return 0, 0
-	}
-	return float64(removals) / float64(denom), sampled
-}
-
 // ExactOFD verifies the exact OFD X: [] ↦ A (Def. 2.11): A must be constant
 // within every class of the context partition. Runtime O(‖ctx‖).
 func ExactOFD(ctx *partition.Stripped, a *dataset.Column) bool {

@@ -1,6 +1,8 @@
 package aod
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -89,23 +91,15 @@ func TestDiscoverParallelOption(t *testing.T) {
 	}
 }
 
+// The hybrid-sampling options are retired: a strict decode of a body that
+// still carries them fails instead of silently running without sampling.
 func TestDiscoverSamplingOption(t *testing.T) {
-	ds := Flight(6000, 8, 5)
-	full, err := Discover(ds, Options{Threshold: 0.10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyb, err := Discover(ds, Options{Threshold: 0.10, SampleStride: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullSet := make(map[string]bool)
-	for _, oc := range full.OCs {
-		fullSet[oc.String()] = true
-	}
-	for _, oc := range hyb.OCs {
-		if !fullSet[oc.String()] {
-			t.Errorf("hybrid reported OC %v missing from full run", oc)
+	for _, body := range []string{`{"sampleStride":8}`, `{"threshold":0.1,"sampleSlack":0.05}`} {
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		var o Options
+		if err := dec.Decode(&o); err == nil {
+			t.Errorf("%s decoded into Options as %+v", body, o)
 		}
 	}
 }
