@@ -253,6 +253,37 @@ func BenchmarkPartitionProduct(b *testing.B) {
 	}
 }
 
+// BenchmarkPartitionSplit times the split the partition memo builds every
+// context partition with (Arena.Split) on ncvoter columns. "noop"
+// splits Π_municipality by zip, which municipality determines, so the split
+// returns its base and copies nothing; "divide" splits it by age. Divided
+// outputs go back to the arena, as the memo's dropped generations do.
+func BenchmarkPartitionSplit(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		tbl := gen.NCVoter(gen.NCVoterConfig{Rows: n, Attrs: 8, Seed: 42})
+		base := partition.Single(tbl.Column(3)) // municipality
+		for _, c := range []struct {
+			name string
+			col  int
+		}{{"noop", 7}, {"divide", 1}} { // zip, age
+			col := tbl.Column(c.col)
+			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
+				var a partition.Arena
+				if same := a.Split(base, col) == base; same != (c.name == "noop") {
+					b.Fatalf("split by column %d returned its base: %v", c.col, same)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if p := a.Split(base, col); p != base {
+						a.Recycle(p)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkApproxOFD(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		tbl := gen.NCVoter(gen.NCVoterConfig{Rows: n, Attrs: 4, Seed: 42})

@@ -259,7 +259,8 @@ func Discover(d *Dataset, opts Options) (*Report, error) {
 }
 
 // DiscoverContext is Discover with cooperative cancellation. The context is
-// polled between candidate validations; when it is canceled mid-run the
+// polled right before each candidate validation, so a canceled run validates
+// no further candidate; when it is canceled mid-run the
 // partial report is returned with Stats.Canceled set and a nil error, the
 // same contract as a TimeLimit abort. Long-running callers (services, job
 // queues) should prefer this entry point so canceled work stops consuming

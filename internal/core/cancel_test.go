@@ -138,3 +138,74 @@ func TestTaskRunnerIgnoresTimeLimit(t *testing.T) {
 		t.Errorf("results under a passed time limit differ:\nlimited: %+v\nplain:   %+v", got, want)
 	}
 }
+
+// TestCancelBeforeTaskValidatesNothing pins the cancellation poll: once the
+// context is done, no engine validates another candidate. Under Serial() and
+// Pool(2) the context is canceled at the end of level 1, so level 2 must
+// validate nothing and the run must report Canceled; the executor's engines
+// (and a TaskRunner's) are then handed a claimed task of 21 unpruned
+// candidates under the canceled context, and must return it without
+// validating any — a poll only at task claims would let them validate all.
+func TestCancelBeforeTaskValidatesNothing(t *testing.T) {
+	const cols = 6
+	tbl := randomTable(rand.New(rand.NewSource(4)), 300, cols, 4)
+	cfg := Config{Threshold: 0.1, Validator: ValidatorOptimal, IncludeOFDs: true}
+	// The full set's task hosts 6 OFD and 15 OC candidates, none pruned.
+	task := NodeTask{Set: 1<<cols - 1, Level: cols, ParentConst: make([]uint64, cols),
+		OCValid: lattice.NewPairSet(cols).Words()}
+
+	for _, exec := range []struct {
+		name string
+		mk   func() Executor
+	}{
+		{"serial", Serial},
+		{"pool", func() Executor { return Pool(2) }},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		x := exec.mk()
+		res, err := Pipeline{Executor: x, Sink: func(s Snapshot) {
+			if s.Level == 1 {
+				cancel()
+			}
+		}}.Run(ctx, tbl, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", exec.name, err)
+		}
+		st := res.Stats
+		if !st.Canceled {
+			t.Errorf("%s: Stats.Canceled not set", exec.name)
+		}
+		if st.LevelsProcessed != 2 || st.OCCandidates != 0 || st.OFDCandidates != cols || st.NodesProcessed != cols {
+			t.Errorf("%s: canceled after level 1 but processed %d levels, %d nodes, %d OFD and %d OC candidates",
+				exec.name, st.LevelsProcessed, st.NodesProcessed, st.OFDCandidates, st.OCCandidates)
+		}
+		for i, e := range x.(*localExecutor).engines {
+			var nr NodeResult
+			e.execTask(&task, &nr)
+			if nr.Candidates != 0 {
+				t.Errorf("%s: engine %d validated %d candidates of a task claimed after cancellation", exec.name, i, nr.Candidates)
+			}
+		}
+		cancel()
+	}
+
+	r, err := Prepare(tbl).NewTaskRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.RunLevel(context.Background(), []NodeTask{task}); got[0].Candidates != cols+cols*(cols-1)/2 {
+		t.Fatalf("live runner validated %d candidates, want %d", got[0].Candidates, cols+cols*(cols-1)/2)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, nr := range r.RunLevel(ctx, []NodeTask{task, task}) {
+		if nr.Candidates != 0 {
+			t.Errorf("runner: task %d validated %d candidates under a canceled context", i, nr.Candidates)
+		}
+	}
+	var nr NodeResult
+	r.eng.execTask(&task, &nr)
+	if nr.Candidates != 0 {
+		t.Errorf("runner: engine validated %d candidates of a task claimed after cancellation", nr.Candidates)
+	}
+}

@@ -17,8 +17,9 @@ func Discover(tbl *dataset.Table, cfg Config) (*Result, error) {
 	return DiscoverContext(context.Background(), tbl, cfg)
 }
 
-// DiscoverContext is Discover with cooperative cancellation: the context is
-// polled between candidate validations, so a canceled run stops within one
+// DiscoverContext is Discover with cooperative cancellation: the context's
+// done channel is polled right before each candidate validation, so a
+// canceled run validates no further candidate and stops within one
 // validation's latency instead of finishing the lattice. On cancellation the
 // partial result is returned with Stats.Canceled set and a nil error — the
 // same contract as a TimeLimit abort (callers that need the distinction can

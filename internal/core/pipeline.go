@@ -108,7 +108,10 @@ type Pipeline struct {
 // the partition memo shared by all executors' workers, deadline bookkeeping,
 // and the accumulated result.
 type traversal struct {
-	ctx      context.Context // nil means non-cancellable
+	ctx context.Context // nil means non-cancellable
+	// done is ctx.Done(), read once per Pipeline.Run or TaskRunner.RunLevel
+	// call (nil, never ready, when ctx is nil or cannot be canceled).
+	done     <-chan struct{}
 	tbl      *dataset.Table
 	cfg      Config
 	eps      float64
@@ -150,8 +153,15 @@ type traversal struct {
 
 // abortedInto reports that the run must stop — the TimeLimit deadline passed
 // or the caller's context was canceled — recording the cause in st unless st
-// is nil. Engines poll it between candidate validations, so an abort takes
-// effect within one validation's latency.
+// is nil. Engines poll it when they claim a task and right before each
+// candidate they validate, not on candidates that pruning skips, so a
+// canceled run validates no candidate once the context is done, and an abort
+// takes effect within one validation's latency. The context half is a
+// non-blocking receive on the cached done channel, which takes no lock.
+// ctx.Err() on a cancelable context takes the context's mutex: called on
+// every candidate, skipped ones included, it cost 8.7% of a serial job's CPU
+// and 22% of a two-engine pool's, whose engines contend for that one lock
+// (exact discovery on ncvoter 7000×14, 2-vCPU Xeon, Go 1.24).
 func (t *traversal) abortedInto(st *Stats) bool {
 	if !t.deadline.IsZero() && time.Now().After(t.deadline) {
 		if st != nil {
@@ -159,13 +169,24 @@ func (t *traversal) abortedInto(st *Stats) bool {
 		}
 		return true
 	}
-	if t.ctx != nil && t.ctx.Err() != nil {
+	select {
+	case <-t.done:
 		if st != nil {
 			st.Canceled = true
 		}
 		return true
+	default:
+		return false
 	}
-	return false
+}
+
+// watch points the traversal's cancellation poll at ctx.
+func (t *traversal) watch(ctx context.Context) {
+	t.ctx = ctx
+	t.done = nil
+	if ctx != nil {
+		t.done = ctx.Done()
+	}
 }
 
 // snapshot builds the immutable per-level Snapshot for the just-completed
@@ -235,7 +256,6 @@ func (p Pipeline) Run(ctx context.Context, tbl *dataset.Table, cfg Config) (*Res
 	}
 	trace, traceParent := telemetry.FromContext(ctx)
 	t := &traversal{
-		ctx:      ctx,
 		tbl:      tbl,
 		cfg:      cfg,
 		eps:      cfg.effectiveThreshold(),
@@ -246,6 +266,7 @@ func (p Pipeline) Run(ctx context.Context, tbl *dataset.Table, cfg Config) (*Res
 		res:      &Result{},
 		trace:    trace,
 	}
+	t.watch(ctx)
 	if p.Arena != nil {
 		t.arena = p.Arena
 	}

@@ -87,11 +87,11 @@ func (r *TaskRunner) PartitionCacheStats() (hits, builds uint64) {
 // shard), the remaining tasks are skipped and the partial results are
 // returned — the coordinator discards them and re-runs the slice elsewhere.
 func (r *TaskRunner) RunLevel(ctx context.Context, tasks []NodeTask) []NodeResult {
-	r.t.ctx = ctx
+	r.t.watch(ctx)
 	r.t.memo.Rotate()
 	out := make([]NodeResult, len(tasks))
 	for i := range tasks {
-		if ctx != nil && ctx.Err() != nil {
+		if r.eng.aborted() {
 			break
 		}
 		r.eng.execTask(&tasks[i], &out[i])

@@ -372,8 +372,9 @@ func (x *shardedExecutor) maybePrefetch(t *traversal, cur *lattice.Level, run *l
 
 // maxParentIndexes returns, per node of next, the largest index in cur.Nodes
 // of any of its parents — the cur commit-prefix length past which the node's
-// task can be built. Colex node order makes these near-monotonic, so commit
-// prefixes of cur unlock build prefixes of next.
+// task can be built. Levels list their nodes in lexicographic order of their
+// attribute lists, which makes these near-monotonic, so commit prefixes of
+// cur unlock build prefixes of next.
 func maxParentIndexes(next, cur *lattice.Level) []int {
 	idx := make(map[lattice.AttrSet]int, len(cur.Nodes))
 	for i, n := range cur.Nodes {

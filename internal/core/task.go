@@ -164,32 +164,32 @@ func buildTask(task *NodeTask, node *lattice.Node, parents *lattice.Level, numAt
 // observes another's verdict within a node), which is what makes the work
 // unit location-transparent: the same code runs under the serial executor,
 // the pool workers, and a remote shard's TaskRunner.
+//
+// A candidate that pruning skips is still validated under the pruning
+// ablation (DisablePruning), which measures its cost but keeps no verdict.
+// Cancellation is polled right before each validation, never on a skipped
+// candidate, so a task that starts after cancellation validates nothing.
 func (e *engine) execTask(task *NodeTask, nr *NodeResult) {
 	nr.reset()
 	st := &nr.Stats
 	set := lattice.AttrSet(task.Set)
 	propagatedConst := lattice.AttrSet(task.ConstValid)
-	attrs := set.Attrs()
+	var buf [lattice.MaxAttrs]int
+	attrs := set.AppendAttrs(buf[:0])
 
 	// --- OFD candidates. -------------------------------------------------
 	for _, d := range attrs {
+		// A strict sub-context already has a valid OFD for d: any OFD here
+		// is valid but non-minimal.
+		skip := propagatedConst.Has(d)
+		if skip {
+			st.OFDSkipped++
+			if !e.t.cfg.DisablePruning {
+				continue
+			}
+		}
 		if e.aborted() {
 			return
-		}
-		if propagatedConst.Has(d) {
-			// A strict sub-context already has a valid OFD for d: any OFD
-			// here is valid but non-minimal. Skip validation entirely —
-			// unless the pruning ablation wants the cost measured.
-			st.OFDSkipped++
-			if e.t.cfg.DisablePruning {
-				ctx := e.context(set.Remove(d), st)
-				st.OFDCandidates++
-				nr.Candidates++
-				t0 := time.Now()
-				e.validateOFD(ctx, e.t.tbl.Column(d))
-				st.ValidationTime += time.Since(t0)
-			}
-			continue
 		}
 		ctx := e.context(set.Remove(d), st)
 		st.OFDCandidates++
@@ -197,17 +197,18 @@ func (e *engine) execTask(task *NodeTask, nr *NodeResult) {
 		t0 := time.Now()
 		r := e.validateOFD(ctx, e.t.tbl.Column(d))
 		st.ValidationTime += time.Since(t0)
-		if r.Valid {
-			nr.NewConst |= 1 << uint(d)
-			if e.t.cfg.IncludeOFDs {
-				ofd := TaskOFD{A: d, Error: r.Error, Removals: r.Removals}
-				if e.t.cfg.CollectRemovalSets {
-					full := e.v.ApproxOFD(ctx, e.t.tbl.Column(d),
-						validate.Options{Threshold: e.t.eps, CollectRemovals: true})
-					ofd.RemovalRows = full.RemovalRows
-				}
-				nr.OFDs = append(nr.OFDs, ofd)
+		if skip || !r.Valid {
+			continue
+		}
+		nr.NewConst |= 1 << uint(d)
+		if e.t.cfg.IncludeOFDs {
+			ofd := TaskOFD{A: d, Error: r.Error, Removals: r.Removals}
+			if e.t.cfg.CollectRemovalSets {
+				full := e.v.ApproxOFD(ctx, e.t.tbl.Column(d),
+					validate.Options{Threshold: e.t.eps, CollectRemovals: true})
+				ofd.RemovalRows = full.RemovalRows
 			}
+			nr.OFDs = append(nr.OFDs, ofd)
 		}
 	}
 
@@ -223,9 +224,6 @@ func (e *engine) execTask(task *NodeTask, nr *NodeResult) {
 		for j := i + 1; j < len(attrs); j++ {
 			a, b := attrs[i], attrs[j]
 			for _, desc := range directions {
-				if e.aborted() {
-					return
-				}
 				validWords := task.OCValid
 				if desc {
 					validWords = task.OCValidDesc
@@ -236,43 +234,37 @@ func (e *engine) execTask(task *NodeTask, nr *NodeResult) {
 					// everywhere above (minimality pruning).
 					st.OCSkippedMinimality++
 					skip = true
-				} else {
-					// ParentConst[j] is the parent missing b (it contains a),
-					// ParentConst[i] the parent missing a.
-					if lattice.AttrSet(task.ParentConst[j]).Has(a) ||
-						lattice.AttrSet(task.ParentConst[i]).Has(b) {
-						// Constancy of a side within the OC's context (or a
-						// subset) trivializes the OC in both directions
-						// (e_OC ≤ e_OFD); never minimal.
-						st.OCSkippedConstancy++
-						skip = true
-					}
+				} else if lattice.AttrSet(task.ParentConst[j]).Has(a) ||
+					lattice.AttrSet(task.ParentConst[i]).Has(b) {
+					// ParentConst[j] is the parent missing b (it contains
+					// a), ParentConst[i] the parent missing a. Constancy of
+					// a side within the OC's context (or a subset)
+					// trivializes the OC in both directions (e_OC ≤ e_OFD);
+					// never minimal.
+					st.OCSkippedConstancy++
+					skip = true
 				}
-				gpSet := set.Remove(a).Remove(b)
-				if skip {
-					if e.t.cfg.DisablePruning {
-						ctx := e.context(gpSet, st)
-						st.OCCandidates++
-						nr.Candidates++
-						t0 := time.Now()
-						e.validateOCVia(gpSet, ctx, a, b, desc)
-						st.ValidationTime += time.Since(t0)
-					}
+				if skip && !e.t.cfg.DisablePruning {
 					continue
 				}
+				if e.aborted() {
+					return
+				}
+				gpSet := set.Remove(a).Remove(b)
 				ctx := e.context(gpSet, st)
 				st.OCCandidates++
 				nr.Candidates++
 				t0 := time.Now()
 				r := e.validateOCVia(gpSet, ctx, a, b, desc)
 				st.ValidationTime += time.Since(t0)
-				if r.Valid {
-					oc := TaskOC{A: a, B: b, Descending: desc, Error: r.Error, Removals: r.Removals}
-					if e.t.cfg.CollectRemovalSets {
-						oc.RemovalRows = e.collectOCRemovals(ctx, a, b, desc)
-					}
-					nr.OCs = append(nr.OCs, oc)
+				if skip || !r.Valid {
+					continue
 				}
+				oc := TaskOC{A: a, B: b, Descending: desc, Error: r.Error, Removals: r.Removals}
+				if e.t.cfg.CollectRemovalSets {
+					oc.RemovalRows = e.collectOCRemovals(ctx, a, b, desc)
+				}
+				nr.OCs = append(nr.OCs, oc)
 			}
 		}
 	}

@@ -71,13 +71,19 @@ func (s AttrSet) Max() int {
 
 // Attrs returns the attribute indexes in ascending order.
 func (s AttrSet) Attrs() []int {
-	out := make([]int, 0, s.Card())
+	return s.AppendAttrs(make([]int, 0, s.Card()))
+}
+
+// AppendAttrs appends the attribute indexes in ascending order to dst and
+// returns the extended slice. With a [MaxAttrs]int buffer behind dst it
+// allocates nothing.
+func (s AttrSet) AppendAttrs(dst []int) []int {
 	for t := s; t != 0; {
 		a := bits.TrailingZeros64(uint64(t))
-		out = append(out, a)
+		dst = append(dst, a)
 		t &= t - 1
 	}
-	return out
+	return dst
 }
 
 // ForEach calls fn for every attribute in ascending order.

@@ -226,6 +226,18 @@ func TestLevelGenerationEnumeratesAllSets(t *testing.T) {
 	}
 }
 
+// TestLevelNodeOrder pins the order NextLevel emits: lexicographic by
+// ascending attribute list, not ascending bitmask.
+func TestLevelNodeOrder(t *testing.T) {
+	var got []AttrSet
+	for _, n := range NextLevel(Level1(4), 4).Nodes {
+		got = append(got, n.Set)
+	}
+	if want := []AttrSet{3, 5, 9, 6, 10, 12}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("level 2 over 4 attributes: bitmasks %v, want %v", got, want)
+	}
+}
+
 // TestLazyPartitionMatchesDirectProduct reads every level-3 context of a
 // traversal from a partition memo: generating the levels builds nothing, and
 // each partition the memo builds on first read equals the product of its

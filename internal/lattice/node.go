@@ -35,7 +35,9 @@ type Node struct {
 type Level struct {
 	// Number is the cardinality of the node sets in this level.
 	Number int
-	// Nodes in deterministic (ascending bitmask) order.
+	// Nodes in the deterministic order NextLevel emits: lexicographic by
+	// ascending attribute list, which is not ascending bitmask order (level 2
+	// over four attributes holds the bitmasks 3, 5, 9, 6, 10, 12).
 	Nodes []*Node
 	bySet map[AttrSet]*Node
 }

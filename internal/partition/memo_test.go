@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/bits"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -57,5 +58,65 @@ func TestMemoConcurrentReadersBuildEachSetOnce(t *testing.T) {
 			t.Fatalf("level %d: %d splits for %d sets", level, builds-built, len(sets))
 		}
 		built = builds
+	}
+}
+
+// TestMemoAliasedSplitOutlivesItsTwin builds a set whose split leaves its
+// base unchanged, so the set's slot and its base's slot hold one partition,
+// and then drops one slot, the other or both at a rotation. Whatever
+// survives must keep its classes while later splits draw buffers from the
+// arena; a bounded arena makes that reuse deterministic (last in, first
+// out), so a partition recycled while a slot still held it would be
+// overwritten by the next split.
+func TestMemoAliasedSplitOutlivesItsTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	const rows = 300
+	c, x, y := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	for i := range x {
+		x[i], y[i] = int64(rng.Intn(6)), int64(rng.Intn(6))
+		c[i] = x[i] / 2 // x determines c, so c divides no class of Π_{x,y}
+	}
+	tbl := mustTable(t, map[string][]int64{"c": c, "x": x, "y": y}, []string{"c", "x", "y"})
+	const base, set = 0b110, 0b111 // Π_{x,y} = Π_y.SplitBy(x); Π_{c,x,y} = Π_{x,y}.SplitBy(c)
+	wantBase := Single(tbl.Column(2)).SplitBy(tbl.Column(1))
+	wantSet := wantBase.SplitBy(tbl.Column(0))
+	if !sameLayout(wantSet, wantBase) || sameLayout(wantBase, Single(tbl.Column(2))) {
+		t.Fatal("the table must leave the set's split a copy of its base and divide the base's own")
+	}
+	for _, keep := range []string{"set", "base", "neither"} {
+		memo := NewMemo(tbl, nil, NewArenaLimit(1<<20))
+		memo.Rotate()
+		if memo.Get(base, nil) != memo.Get(set, nil) {
+			t.Fatalf("keep %s: the set's split copied its unchanged base", keep)
+		}
+		// Two rotations drop every slot not read in between.
+		for r := 0; r < 2; r++ {
+			memo.Rotate()
+			switch keep {
+			case "set":
+				memo.Get(set, nil)
+			case "base":
+				memo.Get(base, nil)
+			}
+		}
+		// Splits that draw from the arena: a recycled twin would be handed
+		// to them, and two recycles of it to both.
+		other := []*Stripped{
+			memo.arena.Split(Single(tbl.Column(0)), tbl.Column(2)),
+			memo.arena.Split(Single(tbl.Column(1)), tbl.Column(2)),
+		}
+		if want := Single(tbl.Column(0)).SplitBy(tbl.Column(2)); !sameLayout(other[0], want) {
+			t.Errorf("keep %s: a later split lost its classes to another: %v, want %v", keep, other[0], want)
+		}
+		switch keep {
+		case "set":
+			if got := memo.Get(set, nil); !sameLayout(got, wantSet) {
+				t.Errorf("keep set: the set's partition changed to %v, want %v", got, wantSet)
+			}
+		case "base":
+			if got := memo.Get(base, nil); !sameLayout(got, wantBase) {
+				t.Errorf("keep base: the base's partition changed to %v, want %v", got, wantBase)
+			}
+		}
 	}
 }

@@ -27,8 +27,13 @@ import (
 // Stripped is a stripped partition: the non-singleton equivalence classes of
 // a table with respect to some attribute set, stored in CSR form. Class i
 // occupies rows[offsets[i]:offsets[i+1]]; row ids within a class are in
-// ascending order and classes are ordered by first row id. The zero value is
-// a fully stripped (classless) partition of N rows.
+// ascending order. Single and FromRowSignature order classes by first row id,
+// but a split emits each parent class's subgroups in place (SplitInto), so
+// its classes follow the parent's class order and only subgroups of one
+// parent class are ordered by first row id: splitting classes [0 5 6 7]
+// [1 2] [3 4] by a column whose rows 0–7 hold 0,5,5,7,7,1,0,1 yields
+// [0 6] [5 7] [1 2] [3 4]. The zero value is a fully stripped (classless)
+// partition of N rows.
 type Stripped struct {
 	// N is the number of rows of the underlying table.
 	N int
@@ -37,10 +42,11 @@ type Stripped struct {
 	// least one element.
 	rows    []int32
 	offsets []int32
-	// shared is the cross-job sharing seam: once set (Share), the partition
-	// is immutable — reset panics and Arena.Recycle refuses to reclaim the
-	// buffers — so cache-resident partitions handed to concurrent jobs can
-	// never be scribbled over by a later product. Accessed atomically.
+	// shared is the sharing seam: once set (Share), the partition is
+	// immutable — reset panics and Arena.Recycle refuses to reclaim the
+	// buffers — so cache-resident partitions handed to concurrent jobs, and
+	// a memo's partition held by two slots, can never be scribbled over by a
+	// later split. Accessed atomically.
 	shared uint32
 }
 
@@ -313,14 +319,44 @@ func (p *Stripped) SplitBy(col *dataset.Column) *Stripped {
 // product Π_{S∖{c₁}}·Π_{S∖{c₂}} from one parent. With warm scratch and a
 // previously used out, the call performs zero allocations. It returns out.
 func (p *Stripped) SplitInto(col *dataset.Column, s *ProductScratch, out *Stripped) *Stripped {
+	p.checkSplit(col)
+	return p.splitFrom(0, col, s, out)
+}
+
+// checkSplit panics unless col has one rank per row of p.
+func (p *Stripped) checkSplit(col *dataset.Column) {
 	if p.N != col.Len() {
 		panic(fmt.Sprintf("partition: split of a partition over %d rows by a column of %d", p.N, col.Len()))
 	}
+}
+
+// constantPrefix returns the index of the first class of p whose rows do not
+// all share one rank, or NumClasses when there is none. It only reads.
+func (p *Stripped) constantPrefix(ranks []int32) int {
+	for ci := 0; ci+1 < len(p.offsets); ci++ {
+		cls := p.rows[p.offsets[ci]:p.offsets[ci+1]]
+		r := ranks[cls[0]]
+		for _, row := range cls[1:] {
+			if ranks[row] != r {
+				return ci
+			}
+		}
+	}
+	return p.NumClasses()
+}
+
+// splitFrom is SplitInto for a p whose first `first` classes col leaves
+// whole: they are copied as they are and the split starts at class first.
+func (p *Stripped) splitFrom(first int, col *dataset.Column, s *ProductScratch, out *Stripped) *Stripped {
 	ranks := col.Ranks()
 	s.keySlots(col.NumDistinct())
 	out.reset(p.N, len(p.rows))
+	if first > 0 {
+		out.rows = append(out.rows, p.rows[:p.offsets[first]]...)
+		out.offsets = append(out.offsets, p.offsets[1:first+1]...)
+	}
 
-	for ci := 0; ci+1 < len(p.offsets); ci++ {
+	for ci := first; ci+1 < len(p.offsets); ci++ {
 		cls := p.rows[p.offsets[ci]:p.offsets[ci+1]]
 		if len(cls) == 2 {
 			// The commonest class deep in the lattice: it survives whole or

@@ -3,6 +3,7 @@ package partition
 import (
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -156,4 +157,124 @@ func TestSplitPanicsOnMismatchedN(t *testing.T) {
 		}
 	}()
 	Universe(11).SplitBy(tbl.Column(0))
+}
+
+// TestSplitKeepsParentClassOrder pins the class order a split emits: each
+// parent class's subgroups take its place, so the classes of a split are not
+// ordered by first row id.
+func TestSplitKeepsParentClassOrder(t *testing.T) {
+	tbl := mustTable(t, map[string][]int64{"c": {0, 5, 5, 7, 7, 1, 0, 1}}, []string{"c"})
+	p := FromClasses(8, [][]int32{{0, 5, 6, 7}, {1, 2}, {3, 4}})
+	want := [][]int32{{0, 6}, {5, 7}, {1, 2}, {3, 4}}
+	if got := classes(p.SplitBy(tbl.Column(0))); !reflect.DeepEqual(got, want) {
+		t.Fatalf("split classes %v, want %v", got, want)
+	}
+}
+
+// TestArenaSplitMatchesSplitInto checks Arena.Split against SplitInto
+// over random bases and columns: the result is the base itself exactly when
+// SplitInto would copy the base unchanged, and otherwise byte-identical to
+// SplitInto's output. The shapes cover a column constant on every class, a
+// constant prefix of classes followed by one the column divides, bases of
+// two-row classes only, empty bases, and unconstrained columns. Outputs go
+// back to the arena, so later splits reuse buffers of other shapes.
+func TestArenaSplitMatchesSplitInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	shapes := []string{"constant", "prefix", "two-row", "empty", "random"}
+	aliased := make(map[string]int)
+	var a Arena
+	var s ProductScratch
+	for iter := 0; iter < 5000; iter++ {
+		shape := shapes[iter%len(shapes)]
+		base, vals := splitCase(rng, shape)
+		col := mustTable(t, map[string][]int64{"c": vals}, []string{"c"}).Column(0)
+		want := base.SplitInto(col, &s, &Stripped{})
+		got := a.Split(base, col)
+		if (got == base) != sameLayout(want, base) {
+			t.Fatalf("iter %d (%s): base %v, column %v: Split returned the base: %v, SplitInto left it unchanged: %v",
+				iter, shape, classes(base), vals, got == base, sameLayout(want, base))
+		}
+		if !sameLayout(got, want) {
+			t.Fatalf("iter %d (%s): base %v, column %v: Split %v, SplitInto %v",
+				iter, shape, classes(base), vals, classes(got), classes(want))
+		}
+		if got == base {
+			aliased[shape]++
+		} else {
+			a.Recycle(got)
+		}
+	}
+	per := 5000 / len(shapes)
+	for _, shape := range []string{"constant", "empty"} {
+		if aliased[shape] != per {
+			t.Errorf("%s: %d of %d splits returned the base, want all", shape, aliased[shape], per)
+		}
+	}
+	if aliased["prefix"] != 0 {
+		t.Errorf("prefix: %d splits returned the base though a class divides", aliased["prefix"])
+	}
+	if n := aliased["two-row"]; n == 0 || n == per {
+		t.Errorf("two-row: %d of %d splits returned the base, want some but not all", n, per)
+	}
+}
+
+// splitCase draws a base partition over 2–121 rows in the given shape and the
+// column values to split it by (see TestArenaSplitMatchesSplitInto). Classes
+// come in random order, as a split's classes may.
+func splitCase(rng *rand.Rand, shape string) (*Stripped, []int64) {
+	n := 2 + rng.Intn(120)
+	minClasses := 1
+	if shape == "prefix" {
+		n, minClasses = max(n, 4), 2
+	}
+	const domain = 5
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(rng.Intn(domain))
+	}
+	if shape == "empty" {
+		return FromClasses(n, nil), vals
+	}
+	var cls [][]int32
+	perm := rng.Perm(n)
+	for len(perm) >= 2 && (len(cls) < minClasses || rng.Intn(8) > 0) {
+		k := 2
+		if shape != "two-row" {
+			k = min(2+rng.Intn(7), len(perm))
+		}
+		if len(cls) < minClasses-1 {
+			k = min(k, len(perm)-2) // leave rows for the classes still due
+		}
+		members := make([]int32, k)
+		for i, r := range perm[:k] {
+			members[i] = int32(r)
+		}
+		perm = perm[k:]
+		slices.Sort(members)
+		cls = append(cls, members)
+	}
+	rng.Shuffle(len(cls), func(i, j int) { cls[i], cls[j] = cls[j], cls[i] })
+	// constantUpTo is the number of leading classes set to one value each;
+	// divide, when not negative, is a class given two values.
+	constantUpTo, divide := 0, -1
+	switch shape {
+	case "constant":
+		constantUpTo = len(cls)
+	case "prefix":
+		constantUpTo = 1 + rng.Intn(len(cls)-1)
+		divide = constantUpTo
+	case "two-row":
+		constantUpTo = rng.Intn(len(cls) + 1)
+	}
+	for ci := 0; ci < constantUpTo; ci++ {
+		v := int64(rng.Intn(domain))
+		for _, r := range cls[ci] {
+			vals[r] = v
+		}
+	}
+	if divide >= 0 {
+		c := cls[divide]
+		vals[c[len(c)-1]] = vals[c[0]] + 1
+	}
+	return FromClasses(n, cls), vals
 }

@@ -131,7 +131,7 @@ func resolve(d *Dataset, context []string, a, b string) (ca, cb int, ctx *partit
 			return 0, 0, nil, fmt.Errorf("aod: no context column %q", name)
 		}
 		next := arena.Split(ctx, d.table().Column(i))
-		if k > 0 {
+		if k > 0 && next != ctx {
 			arena.Recycle(ctx) // intermediate product: reuse its buffers
 		}
 		ctx = next
