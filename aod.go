@@ -52,8 +52,8 @@ func (d *Dataset) ColumnNames() []string { return d.tbl.ColumnNames() }
 // ColumnTypes returns the column kind names ("int", "float", "string") in
 // schema order. Passing them back via CSVOptions.Types makes a WriteCSV →
 // ReadCSV round trip reconstruct the dataset exactly (equal Fingerprint),
-// where type re-inference could diverge — the property the persistence layer
-// depends on.
+// where type re-inference could diverge — a float column whose values are
+// all integral would come back as ints.
 func (d *Dataset) ColumnTypes() []string { return d.tbl.ColumnTypes() }
 
 // Freeze eagerly materializes the dataset's lazily-built internal views
@@ -175,6 +175,23 @@ func ReadCSVFile(path string, opts CSVOptions) (*Dataset, error) {
 
 // WriteCSV serializes the dataset as CSV with a header row.
 func (d *Dataset) WriteCSV(w io.Writer) error { return dataset.WriteCSV(w, d.tbl) }
+
+// AppendColumnar appends the dataset's binary columnar encoding to b: the
+// rank-encoded columns and their distinct values, the form the persistence
+// layer stores and shard workers receive. Unlike CSV it round-trips every
+// value, and decoding it parses no text.
+func (d *Dataset) AppendColumnar(b []byte) []byte { return dataset.AppendColumnar(b, d.tbl) }
+
+// DecodeColumnar rebuilds a dataset from AppendColumnar's encoding. Any
+// input yields a dataset or an error, never a panic; a caller holding the
+// expected Fingerprint compares it to prove the bytes were intact.
+func DecodeColumnar(b []byte) (*Dataset, error) {
+	t, err := dataset.DecodeColumnar(b)
+	if err != nil {
+		return nil, err
+	}
+	return &Dataset{tbl: t}, nil
+}
 
 // WriteCSVFile writes the dataset to path.
 func (d *Dataset) WriteCSVFile(path string) error { return dataset.WriteCSVFile(path, d.tbl) }

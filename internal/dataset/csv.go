@@ -24,17 +24,19 @@ type CSVOptions struct {
 	// Types, when non-empty, forces the kind ("int", "float", "string") of
 	// each kept column in order instead of inferring it, and must have
 	// exactly one entry per kept column. A value that does not parse as the
-	// forced type is an error. Types is how ColumnTypes-aware readers (the
-	// persistence layer) make a CSV round trip lossless.
+	// forced type is an error. Types is how a ColumnTypes-aware reader
+	// makes a CSV round trip lossless.
 	Types []string
 }
 
 // ReadCSV parses CSV data into a Table, inferring each column's type:
 // a column is KindInt if every value parses as int64, else KindFloat if every
-// value parses as float64, else KindString. Empty fields are typed as strings
-// unless the whole column is empty-or-numeric, in which case empties become
-// the minimum sentinel (they parse as strings; a column containing any empty
-// field falls back to KindString so that missing data keeps a stable order).
+// value parses as float64, else KindString. An empty field parses as neither,
+// so a column with any empty field is a string column, where the empty
+// string orders first. Each field is parsed once unless its column falls
+// back to a wider kind (see addInferred). With CSVOptions.Types each column
+// takes its given kind instead, and a field that does not parse as it is an
+// error.
 func ReadCSV(r io.Reader, opts CSVOptions) (*Table, error) {
 	cr := csv.NewReader(r)
 	if opts.Comma != 0 {
@@ -52,7 +54,7 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Table, error) {
 		header = append(header, rec...)
 	}
 
-	var raw [][]string // column-major
+	var raw []rawColumn
 	var names []string
 	rows := 0
 	for {
@@ -71,13 +73,14 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Table, error) {
 				}
 			}
 			names = header
-			raw = make([][]string, len(names))
+			raw = make([]rawColumn, len(names))
 		}
 		if len(rec) != len(names) {
 			return nil, fmt.Errorf("dataset: CSV row %d has %d fields, want %d", rows+1, len(rec), len(names))
 		}
 		for i, f := range rec {
-			raw[i] = append(raw[i], f)
+			raw[i].text = append(raw[i].text, f...)
+			raw[i].ends = append(raw[i].ends, len(raw[i].text))
 		}
 		rows++
 		if opts.MaxRows > 0 && rows >= opts.MaxRows {
@@ -103,12 +106,13 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Table, error) {
 			if added >= len(opts.Types) {
 				return nil, fmt.Errorf("dataset: %d column types for more CSV columns", len(opts.Types))
 			}
-			if err := addTyped(b, name, raw[i], opts.Types[added]); err != nil {
+			if err := addTyped(b, name, &raw[i], opts.Types[added]); err != nil {
 				return nil, err
 			}
 		} else {
-			addInferred(b, name, raw[i])
+			addInferred(b, name, &raw[i])
 		}
+		raw[i] = rawColumn{} // the column's text is parsed; let it go
 		added++
 	}
 	if added == 0 {
@@ -130,57 +134,91 @@ func ReadCSVFile(path string, opts CSVOptions) (*Table, error) {
 	return ReadCSV(f, opts)
 }
 
-func addInferred(b *Builder, name string, vals []string) {
-	allInt, allFloat := true, true
-	for _, v := range vals {
-		if v == "" {
-			allInt, allFloat = false, false
-			break
-		}
-		if allInt {
-			if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-				allInt = false
-			}
-		}
-		if allFloat {
-			if _, err := strconv.ParseFloat(v, 64); err != nil {
-				allFloat = false
-			}
-		}
-		if !allInt && !allFloat {
-			break
-		}
-	}
-	switch {
-	case allInt:
-		ints := make([]int64, len(vals))
-		for i, v := range vals {
-			ints[i], _ = strconv.ParseInt(v, 10, 64)
-		}
-		b.AddInts(name, ints)
-	case allFloat:
-		floats := make([]float64, len(vals))
-		for i, v := range vals {
-			floats[i], _ = strconv.ParseFloat(v, 64)
-		}
-		b.AddFloats(name, floats)
-	default:
-		b.AddStrings(name, vals)
-	}
+// rawColumn holds one column's fields as read, before they are parsed:
+// their bytes back to back, and where each ends. Holding no pointers, it
+// costs the garbage collector nothing to keep while the rest of the input
+// is read, which a string per field did.
+type rawColumn struct {
+	text []byte
+	ends []int
 }
 
-// addTyped parses vals as the named kind, failing on any value that does not
-// conform — the strictness the persistence layer relies on to detect a
-// corrupted dataset file instead of silently re-typing it.
-func addTyped(b *Builder, name string, vals []string, typ string) error {
+// field returns field i as a substring of s, the column's text.
+func (c *rawColumn) field(s string, i int) string {
+	start := 0
+	if i > 0 {
+		start = c.ends[i-1]
+	}
+	return s[start:c.ends[i]]
+}
+
+// addStrings adds the column as strings. Its fields are substrings of the
+// whole column's text, so the distinct values are copied out: the table
+// keeps them, not the text.
+func (c *rawColumn) addStrings(b *Builder, name, s string) {
+	vals := make([]string, len(c.ends))
+	for i := range vals {
+		vals[i] = c.field(s, i)
+	}
+	col := buildStringColumn(name, vals)
+	for i, v := range col.stringVals {
+		col.stringVals[i] = strings.Clone(v)
+	}
+	b.cols = append(b.cols, col)
+}
+
+// addInferred parses each field of the column once: as an int while every
+// field so far was one, then — from the first field that is not — as a
+// float, then as a string. A fallback re-reads only the fields already
+// parsed as the narrower kind, so a column of one kind pays one parse per
+// field.
+func addInferred(b *Builder, name string, c *rawColumn) {
+	s := string(c.text)
+	n := len(c.ends)
+	ints := make([]int64, n)
+	i := 0
+	for ; i < n; i++ {
+		v, err := strconv.ParseInt(c.field(s, i), 10, 64)
+		if err != nil {
+			break
+		}
+		ints[i] = v
+	}
+	if i == n {
+		b.AddInts(name, ints)
+		return
+	}
+	// The parsed prefix is re-read as floats rather than converted: "-0"
+	// parses as the int 0 but as the float -0.
+	floats := make([]float64, n)
+	for i = 0; i < n; i++ {
+		f, err := strconv.ParseFloat(c.field(s, i), 64)
+		if err != nil {
+			break
+		}
+		floats[i] = f
+	}
+	if i == n {
+		b.AddFloats(name, floats)
+		return
+	}
+	c.addStrings(b, name, s)
+}
+
+// addTyped parses the column as the named kind, failing on any value that
+// does not conform — the strictness a typed reload relies on to detect a
+// corrupted file instead of silently re-typing it.
+func addTyped(b *Builder, name string, c *rawColumn, typ string) error {
 	kind, err := KindFromString(typ)
 	if err != nil {
 		return err
 	}
+	s := string(c.text)
 	switch kind {
 	case KindInt:
-		ints := make([]int64, len(vals))
-		for i, v := range vals {
+		ints := make([]int64, len(c.ends))
+		for i := range ints {
+			v := c.field(s, i)
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
 				return fmt.Errorf("dataset: column %q row %d: %q is not an int", name, i+1, v)
@@ -189,8 +227,9 @@ func addTyped(b *Builder, name string, vals []string, typ string) error {
 		}
 		b.AddInts(name, ints)
 	case KindFloat:
-		floats := make([]float64, len(vals))
-		for i, v := range vals {
+		floats := make([]float64, len(c.ends))
+		for i := range floats {
+			v := c.field(s, i)
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
 				return fmt.Errorf("dataset: column %q row %d: %q is not a float", name, i+1, v)
@@ -199,7 +238,7 @@ func addTyped(b *Builder, name string, vals []string, typ string) error {
 		}
 		b.AddFloats(name, floats)
 	default:
-		b.AddStrings(name, vals)
+		c.addStrings(b, name, s)
 	}
 	return nil
 }

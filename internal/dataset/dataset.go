@@ -403,67 +403,56 @@ func (b *Builder) Build() (*Table, error) {
 }
 
 func buildIntColumn(name string, vals []int64) *Column {
-	distinctIdx := make(map[int64]int32, len(vals)/4+1)
+	keys := make([]uint64, len(vals))
+	for i, v := range vals {
+		keys[i] = intKey(v)
+	}
+	ranks, firsts := rankKeys(keys)
 	var sorted []int64
-	for _, v := range vals {
-		if _, ok := distinctIdx[v]; !ok {
-			distinctIdx[v] = 0
-			sorted = append(sorted, v)
+	if len(firsts) > 0 {
+		sorted = make([]int64, len(firsts))
+		for r, row := range firsts {
+			sorted[r] = vals[row]
 		}
 	}
-	sortInt64s(sorted)
-	for r, v := range sorted {
-		distinctIdx[v] = int32(r)
-	}
-	ranks := make([]int32, len(vals))
-	for i, v := range vals {
-		ranks[i] = distinctIdx[v]
-	}
-	return &Column{name: name, kind: KindInt, ranks: ranks, distinct: len(sorted), intVals: sorted}
+	return &Column{name: name, kind: KindInt, ranks: ranks, distinct: len(firsts), intVals: sorted}
 }
 
+// buildFloatColumn ranks NaNs before every other value and keeps one
+// canonical NaN for them; -0 and +0 share a rank whose value is whichever of
+// the two comes first in row order.
 func buildFloatColumn(name string, vals []float64) *Column {
-	// NaN cannot be a map key usefully (NaN != NaN), so normalize all NaNs
-	// to a single sentinel ordering before every other value.
-	distinctIdx := make(map[float64]int32, len(vals)/4+1)
-	var sorted []float64
-	hasNaN := false
-	for _, v := range vals {
-		if math.IsNaN(v) {
-			hasNaN = true
-			continue
-		}
-		if _, ok := distinctIdx[v]; !ok {
-			distinctIdx[v] = 0
-			sorted = append(sorted, v)
-		}
-	}
-	sortFloat64s(sorted)
-	if hasNaN {
-		sorted = append([]float64{math.NaN()}, sorted...)
-	}
-	for r, v := range sorted {
-		if !math.IsNaN(v) {
-			distinctIdx[v] = int32(r)
-		}
-	}
-	ranks := make([]int32, len(vals))
+	keys := make([]uint64, len(vals))
 	for i, v := range vals {
-		if math.IsNaN(v) {
-			ranks[i] = 0
-		} else {
-			ranks[i] = distinctIdx[v]
+		keys[i] = floatKey(v)
+	}
+	ranks, firsts := rankKeys(keys)
+	var sorted []float64
+	if len(firsts) > 0 {
+		sorted = make([]float64, len(firsts))
+		for r, row := range firsts {
+			sorted[r] = vals[row]
+		}
+		if math.IsNaN(sorted[0]) {
+			sorted[0] = math.NaN()
 		}
 	}
-	return &Column{name: name, kind: KindFloat, ranks: ranks, distinct: len(sorted), floatVals: sorted}
+	return &Column{name: name, kind: KindFloat, ranks: ranks, distinct: len(firsts), floatVals: sorted}
 }
 
 func buildStringColumn(name string, vals []string) *Column {
 	distinctIdx := make(map[string]int32, len(vals)/4+1)
-	var sorted []string
 	for _, v := range vals {
 		if _, ok := distinctIdx[v]; !ok {
 			distinctIdx[v] = 0
+		}
+	}
+	// Collected once the count is known, so the table keeps a slice of
+	// exactly the distinct values.
+	var sorted []string
+	if len(distinctIdx) > 0 {
+		sorted = make([]string, 0, len(distinctIdx))
+		for v := range distinctIdx {
 			sorted = append(sorted, v)
 		}
 	}

@@ -3,6 +3,10 @@ package dataset
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -10,9 +14,11 @@ import (
 // FuzzReadCSV feeds arbitrary bytes to the CSV ingest path — the surface
 // every aodserver upload crosses. Whatever the input (malformed quoting,
 // ragged rows, huge fields, binary junk), ReadCSV must either fail cleanly
-// or produce a table satisfying the rank-encoding invariants AND surviving
-// the serialize→reload round trip the persistence layer depends on.
-// Additional seeds live in testdata/fuzz/FuzzReadCSV.
+// or produce a table satisfying the rank-encoding invariants. It must agree
+// with legacyReadCSV, the reader before single-parse inference and map-free
+// ranking, on the table or the error; the table must survive the columnar
+// round trip the persistence layer stores it in, and the typed CSV round
+// trip. Additional seeds live in testdata/fuzz/FuzzReadCSV.
 func FuzzReadCSV(f *testing.F) {
 	for _, seed := range []string{
 		"a,b\n1,2\n3,4\n",
@@ -31,6 +37,10 @@ func FuzzReadCSV(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, err := ReadCSV(bytes.NewReader(data), CSVOptions{})
+		legacy, lerr := legacyReadCSV(bytes.NewReader(data), CSVOptions{})
+		if err := sameResult(tbl, err, legacy, lerr); err != nil {
+			t.Fatalf("ReadCSV diverges from the legacy reader: %v", err)
+		}
 		if err != nil {
 			return // rejecting bad input is fine; panicking is the bug
 		}
@@ -55,10 +65,20 @@ func FuzzReadCSV(f *testing.F) {
 			}
 		}
 
-		// Round trip: serialize and reload with the recorded column types.
-		// CSV cannot represent a value containing '\r' unambiguously (the
-		// reader folds \r\n to \n inside quotes), so such tables are exempt
-		// here — and the store refuses them up front (ErrUnserializable).
+		// Columnar round trip: every table, byte for byte.
+		enc := AppendColumnar(nil, tbl)
+		back, err := DecodeColumnar(enc)
+		if err != nil {
+			t.Fatalf("decoding the columnar encoding of an accepted table: %v", err)
+		}
+		if err := sameTable(back, tbl); err != nil {
+			t.Fatalf("columnar round trip: %v", err)
+		}
+
+		// CSV round trip: serialize and reload with the recorded column
+		// types. CSV cannot represent a value containing '\r' unambiguously
+		// (the reader folds \r\n to \n inside quotes), so such tables are
+		// exempt here; the columnar form above carries them.
 		if tableContainsCR(tbl) {
 			return
 		}
@@ -66,7 +86,7 @@ func FuzzReadCSV(f *testing.F) {
 		if err := WriteCSV(&buf, tbl); err != nil {
 			t.Fatalf("serializing accepted table: %v", err)
 		}
-		back, err := ReadCSV(bytes.NewReader(buf.Bytes()), CSVOptions{Types: tbl.ColumnTypes()})
+		back, err = ReadCSV(bytes.NewReader(buf.Bytes()), CSVOptions{Types: tbl.ColumnTypes()})
 		if err != nil {
 			t.Fatalf("reloading serialized table: %v\nserialized:\n%s", err, buf.Bytes())
 		}
@@ -157,6 +177,129 @@ func FuzzFingerprint(f *testing.F) {
 		}
 		if Fingerprint(wide) == base {
 			t.Fatal("column count ignored by fingerprint")
+		}
+	})
+}
+
+// sameResult reports how two reader results differ: both must fail with the
+// same message, or both succeed with the same table.
+func sameResult(got *Table, gotErr error, want *Table, wantErr error) error {
+	switch {
+	case gotErr != nil || wantErr != nil:
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			return fmt.Errorf("error %v, want %v", gotErr, wantErr)
+		}
+		return nil
+	}
+	return sameTable(got, want)
+}
+
+// sameTable reports the first way two tables differ: row count, then per
+// column its name, kind, distinct count, values bit for bit and ranks, and
+// last the fingerprint.
+func sameTable(got, want *Table) error {
+	if got.NumRows() != want.NumRows() || got.NumCols() != want.NumCols() {
+		return fmt.Errorf("shape %d×%d, want %d×%d", got.NumRows(), got.NumCols(), want.NumRows(), want.NumCols())
+	}
+	for i := 0; i < want.NumCols(); i++ {
+		g, w := got.Column(i), want.Column(i)
+		if g.name != w.name || g.kind != w.kind || g.distinct != w.distinct {
+			return fmt.Errorf("column %d is %q %v with %d values, want %q %v with %d", i, g.name, g.kind, g.distinct, w.name, w.kind, w.distinct)
+		}
+		floatBits := func(v []float64) []uint64 {
+			out := make([]uint64, len(v))
+			for j, f := range v {
+				out[j] = math.Float64bits(f)
+			}
+			return out
+		}
+		if !slices.Equal(g.intVals, w.intVals) || !slices.Equal(g.stringVals, w.stringVals) ||
+			!slices.Equal(floatBits(g.floatVals), floatBits(w.floatVals)) {
+			return fmt.Errorf("column %q: distinct values differ", w.name)
+		}
+		if !slices.Equal(g.ranks, w.ranks) {
+			return fmt.Errorf("column %q: ranks differ", w.name)
+		}
+	}
+	if Fingerprint(got) != Fingerprint(want) {
+		return fmt.Errorf("fingerprint %s, want %s", Fingerprint(got), Fingerprint(want))
+	}
+	return nil
+}
+
+// columnarSeedTable covers every column kind: negative and extreme ints,
+// floats with NaN, -0 and +Inf, and strings holding "\r\n", the empty
+// string and invalid UTF-8.
+func columnarSeedTable(f interface{ Fatal(...any) }) *Table {
+	tbl, err := NewBuilder().
+		AddInts("i", []int64{math.MinInt64, -3, 0, 3, math.MaxInt64, 3}).
+		AddFloats("f", []float64{math.NaN(), math.Copysign(0, -1), 0, 2.5, math.Inf(1), 2.5}).
+		AddStrings("s", []string{"a\r\nb", "", "\xff", "z", "a\r\nb", "é"}).
+		Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	return tbl
+}
+
+// FuzzDecodeColumnar pins the columnar codec's contract: DecodeColumnar
+// never panics on arbitrary bytes, allocates at most a constant factor of
+// its input, and accepts only canonical payloads — every payload it accepts
+// re-encodes byte for byte.
+func FuzzDecodeColumnar(f *testing.F) {
+	// The table FuzzDecodeFrame ships in its dataset seed, one with every
+	// kind, and one whose 300 distinct ints need two-byte ranks.
+	small, err := ReadCSV(strings.NewReader("a,b\n1,x\n2,y\n1,x\n"), CSVOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	wideVals := make([]int64, 300)
+	for i := range wideVals {
+		wideVals[i] = int64(i*7919%300) - 150
+	}
+	wide, err := NewBuilder().AddInts("w", wideVals).AddStrings("c", slices.Repeat([]string{"p", "q", "r"}, 100)).Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	smallEnc := AppendColumnar(nil, small)
+	for _, seed := range [][]byte{
+		smallEnc,
+		AppendColumnar(nil, columnarSeedTable(f)),
+		AppendColumnar(nil, wide),
+		smallEnc[:1], // truncations
+		smallEnc[:len(smallEnc)/2],
+		smallEnc[:len(smallEnc)-1],
+		append(slices.Clone(smallEnc), 0), // a trailing byte
+		{},
+	} {
+		f.Add(seed)
+	}
+	// An out-of-range rank: the last rank of column b (2 distinct values)
+	// set to 2.
+	bad := slices.Clone(smallEnc)
+	bad[len(bad)-1] = 2
+	f.Add(bad)
+	// Rank width 3, which no column has: the width byte of column b sits
+	// right before its three ranks.
+	bad = slices.Clone(smallEnc)
+	bad[len(bad)-4] = 3
+	f.Add(bad)
+	// A non-minimal varint for the row count: 3 as 0x83 0x00.
+	f.Add(append([]byte{0x83, 0x00}, smallEnc[1:]...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tbl, err := DecodeColumnar(data) // must never panic
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(64*len(data)+64<<10) {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		if enc := AppendColumnar(nil, tbl); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted payload re-encodes differently:\n  in %x\n out %x", data, enc)
 		}
 	})
 }

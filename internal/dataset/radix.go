@@ -1,102 +1,91 @@
 package dataset
 
-import (
-	"math"
-	"slices"
-	"sort"
-)
+import "math"
 
-// radixCutoff is the slice length below which an LSD radix sort loses to a
-// comparison sort's lower constant factor (mirroring internal/validate's
-// per-class cutoff).
-const radixCutoff = 64
-
-// radixSortUint64 sorts v ascending with an LSD byte-radix, skipping digits
-// that are constant across the slice (dense value ranges rarely touch the
-// high bytes). It is the cold-start analogue of the validators' per-class
-// radix: column construction sorts each column's distinct values once, and
-// on wide tables that comparison sort dominated dataset build time.
-func radixSortUint64(v []uint64) {
-	n := len(v)
-	tmp := make([]uint64, n)
-	src, dst := v, tmp
-	swapped := false
-	var maxKey uint64
-	for _, x := range v {
-		if x > maxKey {
-			maxKey = x
+// rankKeys ranks rows by order-preserving uint64 keys without a map: an LSD
+// byte-radix sorts the keys together with their row ids, skipping every
+// digit in which no two keys differ (dense value ranges rarely touch the
+// high bytes), and one walk over the sorted keys assigns dense ranks. It
+// returns each row's rank and, per rank, the first row holding it — the sort
+// is stable, so that is the first occurrence in row order. keys is reordered.
+//
+// Column construction ranks every column once, and on wide tables that was
+// the dominant cost of building a table: a hash map from value to rank cost
+// two probes a row, this costs a few sequential passes.
+func rankKeys(keys []uint64) (ranks, firsts []int32) {
+	n := len(keys)
+	ranks = make([]int32, n)
+	if n == 0 {
+		return ranks, nil
+	}
+	rows := make([]int32, n)
+	var diff uint64
+	for i, k := range keys {
+		rows[i] = int32(i)
+		diff |= k ^ keys[0]
+	}
+	if diff != 0 {
+		tmpKeys, tmpRows := make([]uint64, n), make([]int32, n)
+		var cnt [256]int
+		for shift := uint(0); shift < 64; shift += 8 {
+			if uint8(diff>>shift) == 0 {
+				continue // every key shares this digit: nothing to move
+			}
+			clear(cnt[:])
+			for _, k := range keys {
+				cnt[uint8(k>>shift)]++
+			}
+			sum := 0
+			for d, c := range cnt {
+				cnt[d] = sum
+				sum += c
+			}
+			for i, k := range keys {
+				d := uint8(k >> shift)
+				p := cnt[d]
+				tmpKeys[p], tmpRows[p] = k, rows[i]
+				cnt[d]++
+			}
+			keys, tmpKeys = tmpKeys, keys
+			rows, tmpRows = tmpRows, rows
 		}
 	}
-	var cnt [256]int
-	for shift := uint(0); shift < 64 && maxKey>>shift != 0; shift += 8 {
-		clear(cnt[:])
-		for _, x := range src {
-			cnt[uint8(x>>shift)]++
+	distinct := 1
+	for i := 1; i < n; i++ {
+		if keys[i] != keys[i-1] {
+			distinct++
 		}
-		if cnt[uint8(src[0]>>shift)] == n {
-			continue // every key shares this digit: nothing to move
-		}
-		sum := 0
-		for d := range cnt {
-			c := cnt[d]
-			cnt[d] = sum
-			sum += c
-		}
-		for _, x := range src {
-			d := uint8(x >> shift)
-			dst[cnt[d]] = x
-			cnt[d]++
-		}
-		src, dst = dst, src
-		swapped = !swapped
 	}
-	if swapped {
-		copy(v, src)
+	firsts = make([]int32, 0, distinct)
+	r := int32(-1)
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			r++
+			firsts = append(firsts, rows[i])
+		}
+		ranks[rows[i]] = r
 	}
+	return ranks, firsts
 }
 
-// sortInt64s sorts ascending; the sign bit is flipped so the unsigned radix
-// order matches signed order.
-func sortInt64s(v []int64) {
-	if len(v) < radixCutoff {
-		slices.Sort(v)
-		return
-	}
-	u := make([]uint64, len(v))
-	for i, x := range v {
-		u[i] = uint64(x) ^ (1 << 63)
-	}
-	radixSortUint64(u)
-	for i, x := range u {
-		v[i] = int64(x ^ (1 << 63))
-	}
-}
+// intKey maps an int64 to an unsigned key in the same order: flipping the
+// sign bit makes unsigned order match signed order.
+func intKey(v int64) uint64 { return uint64(v) ^ (1 << 63) }
 
-// sortFloat64s sorts ascending under the column order (the caller excludes
-// NaNs). The IEEE-754 bit pattern is reflected into a monotone unsigned key:
-// non-negative floats set the sign bit, negative floats flip all bits.
-func sortFloat64s(v []float64) {
-	if len(v) < radixCutoff {
-		sort.Float64s(v)
-		return
+// floatKey maps a float64 to an unsigned key in the column order. Every NaN
+// maps to 0, below -Inf, so NaNs share the lowest rank; -0 and +0 share one
+// key, so they share a rank. Other values reflect their IEEE-754 pattern:
+// non-negative floats set the sign bit, negative floats flip every bit.
+func floatKey(f float64) uint64 {
+	switch {
+	case f != f:
+		return 0
+	case f == 0:
+		return 1 << 63
 	}
-	u := make([]uint64, len(v))
-	for i, f := range v {
-		b := math.Float64bits(f)
-		if b&(1<<63) != 0 {
-			b = ^b
-		} else {
-			b |= 1 << 63
-		}
-		u[i] = b
+	b := math.Float64bits(f)
+	if b&(1<<63) != 0 {
+		return ^b
 	}
-	radixSortUint64(u)
-	for i, b := range u {
-		if b&(1<<63) != 0 {
-			b &^= 1 << 63
-		} else {
-			b = ^b
-		}
-		v[i] = math.Float64frombits(b)
-	}
+	return b | 1<<63
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"aod"
-	"aod/internal/store"
 )
 
 // DefaultMaxUploadBytes bounds POST /datasets bodies unless overridden.
@@ -89,12 +88,6 @@ func (h *handler) postDataset(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrRegistryFull):
 		writeErr(w, http.StatusInsufficientStorage, err)
-		return
-	case errors.Is(err, store.ErrUnserializable):
-		// A permanent property of the uploaded content (e.g. a value
-		// containing "\r\n", which CSV cannot represent losslessly), not a
-		// server fault: the client must change the data, not retry.
-		writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	case err != nil: // e.g. the fingerprint-prefix collision refusal
 		writeErr(w, http.StatusInternalServerError, err)

@@ -267,7 +267,7 @@ func TestCorruptDatasetStillServesPersistedReport(t *testing.T) {
 	waitState(t, s1, v.ID, JobDone)
 	s1.Close()
 
-	payload := filepath.Join(dir, "datasets", info.Fingerprint+".csv")
+	payload := filepath.Join(dir, "datasets", info.Fingerprint+".col")
 	if err := os.WriteFile(payload, []byte("rotten"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestCorruptDatasetFailsJobNotServer(t *testing.T) {
 	}
 	s1.Close()
 
-	payload := filepath.Join(dir, "datasets", info.Fingerprint+".csv")
+	payload := filepath.Join(dir, "datasets", info.Fingerprint+".col")
 	if err := os.WriteFile(payload, []byte("g\x00rbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -337,37 +337,167 @@ func TestCorruptDatasetFailsJobNotServer(t *testing.T) {
 	waitState(t, s2, v2.ID, JobDone)
 }
 
-// TestUnserializableUploadIs422: content CSV cannot round-trip (a quoted
-// "\r\r\n" folds to a value containing "\r\n") is a permanent client-data
-// condition in persistent mode — 422, not a retryable 500. Without a store
-// the same upload is accepted (nothing needs to round-trip).
+// TestUnserializableUploadIs422 keeps its name from when persistent mode
+// refused this upload with a 422: a quoted "\r\r\n" folds to a value
+// containing "\r\n", which a CSV payload could not round-trip. Columnar
+// payloads carry every string as its bytes, so persistent mode now accepts
+// it with a 201 like in-memory mode, and the value reloads unchanged across
+// a restart.
 func TestUnserializableUploadIs422(t *testing.T) {
 	body := "a\n\"x\r\r\ny\"\n\"z\"\n"
-
-	persistent := New(Config{Workers: 1, Store: openStore(t, t.TempDir())})
-	defer persistent.Close()
-	srv := httptest.NewServer(NewHandler(persistent, HandlerConfig{}))
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/datasets", "text/csv", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	upload := func(s *Service) DatasetInfo {
+		t.Helper()
+		srv := httptest.NewServer(NewHandler(s, HandlerConfig{}))
+		defer srv.Close()
+		resp, err := http.Post(srv.URL+"/datasets", "text/csv", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload status = %d, want 201", resp.StatusCode)
+		}
+		var info DatasetInfo
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatal(err)
+		}
+		return info
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("persistent upload status = %d, want 422", resp.StatusCode)
+
+	dir := t.TempDir()
+	persistent := New(Config{Workers: 1, Store: openStore(t, dir)})
+	info := upload(persistent)
+	persistent.Close()
+
+	restarted := New(Config{Workers: 1, Store: openStore(t, dir)})
+	defer restarted.Close()
+	ds, got, err := restarted.Registry().Get(info.ID)
+	if err != nil {
+		t.Fatalf("dataset lost across restart: %v", err)
+	}
+	if got.Fingerprint != info.Fingerprint || ds.Fingerprint() != info.Fingerprint {
+		t.Errorf("reloaded fingerprint %s, want %s", ds.Fingerprint(), info.Fingerprint)
+	}
+	if v, err := ds.Value(0, "a"); err != nil || v != "x\r\ny" {
+		t.Errorf("reloaded value = %q (err %v), want %q", v, err, "x\r\ny")
 	}
 
 	inMemory := New(Config{Workers: 1})
 	defer inMemory.Close()
-	srv2 := httptest.NewServer(NewHandler(inMemory, HandlerConfig{}))
-	defer srv2.Close()
-	resp2, err := http.Post(srv2.URL+"/datasets", "text/csv", strings.NewReader(body))
-	if err != nil {
+	if mem := upload(inMemory); mem.Fingerprint != info.Fingerprint {
+		t.Errorf("in-memory fingerprint %s differs from persistent %s", mem.Fingerprint, info.Fingerprint)
+	}
+}
+
+// TestLegacyDataDirUpgrade is the upgrade e2e over a data directory the
+// server wrote while it stored CSV payloads: testdata/datadir-csv-layout/data
+// holds the four bodies of uploads/, each uploaded under its file name and
+// given one job ({"threshold":0.12,"includeOFDs":true}) before a graceful
+// shutdown. tricky.csv's ratio column holds integral floats, which its CSV
+// payload renders as ints, so only the manifest's types reload it right.
+// The directory opens without loss: every dataset is served with the
+// fingerprint of its upload, each persisted report comes back
+// byte-identical, a new job computes what aod.Discover computes on the
+// upload, every payload is migrated to the columnar encoding, and a corrupt
+// legacy payload is quarantined.
+func TestLegacyDataDirUpgrade(t *testing.T) {
+	fixture := filepath.Join("testdata", "datadir-csv-layout")
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join(fixture, "data"))); err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusCreated {
-		t.Errorf("in-memory upload status = %d, want 201", resp2.StatusCode)
+	uploads := map[string]*aod.Dataset{}
+	for _, name := range []string{"table1", "tricky", "flight", "doomed"} {
+		ds, err := aod.ReadCSVFile(filepath.Join(fixture, "uploads", name+".csv"), aod.CSVOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		uploads[name] = ds
+	}
+	// The persisted reports, by dataset fingerprint (one job each).
+	persisted := map[string]string{}
+	envelopes, err := filepath.Glob(filepath.Join(dir, "reports", "*.json"))
+	if err != nil || len(envelopes) != len(uploads) {
+		t.Fatalf("fixture holds %d reports (err=%v), want %d", len(envelopes), err, len(uploads))
+	}
+	for _, p := range envelopes {
+		var env struct {
+			Key    string      `json:"key"`
+			Report *aod.Report `json:"report"`
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		fp, _, _ := strings.Cut(env.Key, "|")
+		persisted[fp] = reportJSON(t, env.Report)
+	}
+	doomed := uploads["doomed"].Fingerprint()
+	doomedCSV := filepath.Join(dir, "datasets", doomed+".csv")
+	if err := os.WriteFile(doomedCSV, []byte("d,e\n5,a\nsix,b\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Config{Workers: 2, Store: openStore(t, dir)})
+	defer s.Close()
+	if q := s.Stats().Quarantined; q != 1 {
+		t.Errorf("quarantined = %d, want 1 (the corrupt legacy payload)", q)
+	}
+	if _, err := os.Stat(doomedCSV); !os.IsNotExist(err) {
+		t.Error("corrupt legacy payload still under its live name")
+	}
+	byName := map[string]DatasetInfo{}
+	for _, info := range s.Registry().List() {
+		byName[info.Name] = info
+	}
+	if len(byName) != 3 {
+		t.Errorf("upgraded registry lists %d datasets, want 3", len(byName))
+	}
+	if _, ok := byName["doomed"]; ok {
+		t.Error("corrupt legacy dataset still listed")
+	}
+	opts := aod.Options{Threshold: 0.12, IncludeOFDs: true}
+	for _, name := range []string{"table1", "tricky", "flight"} {
+		ds := uploads[name]
+		info, ok := byName[name]
+		if !ok || info.Fingerprint != ds.Fingerprint() {
+			t.Errorf("%s: listed as %+v, want fingerprint %s", name, info, ds.Fingerprint())
+			continue
+		}
+		if _, err := os.Stat(filepath.Join(dir, "datasets", info.Fingerprint+".csv")); !os.IsNotExist(err) {
+			t.Errorf("%s: legacy payload not removed", name)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "datasets", info.Fingerprint+".col")); err != nil {
+			t.Errorf("%s: payload not migrated: %v", name, err)
+		}
+		v, err := s.Submit(info.ID, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := waitState(t, s, v.ID, JobDone)
+		if !done.CacheHit || reportJSON(t, done.Report) != persisted[info.Fingerprint] {
+			t.Errorf("%s: persisted report not served byte-identical (cacheHit=%v)", name, done.CacheHit)
+		}
+		// A new configuration needs the migrated payload itself.
+		fresh := aod.Options{Threshold: 0.3, Bidirectional: true}
+		v, err = s.Submit(info.ID, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := waitState(t, s, v.ID, JobDone).Report
+		want, err := aod.Discover(ds, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*aod.Report{got, want} {
+			r.Stats.ValidationTime, r.Stats.PartitionTime, r.Stats.TotalTime = 0, 0, 0
+		}
+		if reportJSON(t, got) != reportJSON(t, want) {
+			t.Errorf("%s: report over the migrated payload differs from aod.Discover:\n got %s\nwant %s", name, reportJSON(t, got), reportJSON(t, want))
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aod/internal/dataset"
 	"aod/internal/telemetry"
 )
 
@@ -87,9 +88,10 @@ func (c *workerClient) call(ctx context.Context, timeout time.Duration, f *frame
 	return rf, nil
 }
 
-// handshake runs the hello/dataset exchange on a fresh connection. payload is
-// called lazily, only when this worker's cache misses the fingerprint.
-func (c *workerClient) handshake(ctx context.Context, timeout time.Duration, hello *helloMsg, payload func() (*datasetMsg, error)) error {
+// handshake runs the hello/dataset exchange on a fresh connection. The table
+// ships only when this worker's cache misses the fingerprint; the frame
+// encoder reads its rank buffers straight into the frame.
+func (c *workerClient) handshake(ctx context.Context, timeout time.Duration, hello *helloMsg, tbl *dataset.Table) error {
 	rf, err := c.call(ctx, timeout, &frame{T: "hello", Hello: hello})
 	if err != nil {
 		return err
@@ -100,12 +102,7 @@ func (c *workerClient) handshake(ctx context.Context, timeout time.Duration, hel
 		return err
 	}
 	if ack.NeedDataset {
-		ds, err := payload()
-		if err != nil {
-			c.kill()
-			return fmt.Errorf("serializing dataset for %s: %w", c.addr, err)
-		}
-		rf, err = c.call(ctx, timeout, &frame{T: "dataset", Dataset: ds})
+		rf, err = c.call(ctx, timeout, &frame{T: "dataset", Dataset: tbl})
 		if err != nil {
 			return err
 		}

@@ -171,22 +171,6 @@ func (c *Cluster) Open(ctx context.Context, tbl *dataset.Table, cfg core.Config)
 		Cols:        tbl.NumCols(),
 		Config:      cfg,
 	}
-	// The columnar payload is assembled at most once, and only if some worker
-	// needs it. Column.Data aliases the table's rank buffers — zero copies on
-	// this side; the encoder streams them straight into the frame.
-	var payloadOnce sync.Once
-	var payloadMsg *datasetMsg
-	payload := func() (*datasetMsg, error) {
-		payloadOnce.Do(func() {
-			cols := make([]dataset.ColumnData, tbl.NumCols())
-			for i := range cols {
-				cols[i] = tbl.Column(i).Data()
-			}
-			payloadMsg = &datasetMsg{Rows: tbl.NumRows(), Cols: cols}
-		})
-		return payloadMsg, nil
-	}
-
 	clients := make([]*workerClient, len(c.addrs))
 	var wg sync.WaitGroup
 	for i, addr := range c.addrs {
@@ -205,7 +189,7 @@ func (c *Cluster) Open(ctx context.Context, tbl *dataset.Table, cfg core.Config)
 				br: bufio.NewReader(conn), bw: bufio.NewWriter(conn),
 				txBytes: c.txBytes, rxBytes: c.rxBytes, frames: c.frames,
 			}
-			if err := w.handshake(dctx, c.cfg.DialTimeout, hello, payload); err != nil {
+			if err := w.handshake(dctx, c.cfg.DialTimeout, hello, tbl); err != nil {
 				c.noteFailure(addr, err)
 				return
 			}

@@ -14,15 +14,18 @@
 // where deltas can go negative), float64s are fixed 8-byte little-endian bit
 // patterns (bit-exact round trip — removal errors feed byte-identical report
 // merging), and rank arrays are width-packed little-endian (1, 2, or 4 bytes
-// per rank depending on the column's distinct count). Dataset frames ship the
-// exact inputs of dataset.Fingerprint — per column: name, kind, distinct
-// values in rank order, dense rank array — so the worker reconstructs columns
-// directly (no CSV render/re-parse) and the fingerprint check in the
-// handshake proves the transfer lossless.
+// per rank depending on the column's distinct count). A dataset frame's
+// payload is the columnar encoding of package dataset (AppendColumnar and
+// DecodeColumnar, the same bytes the persistence layer stores): the exact
+// inputs of dataset.Fingerprint — per column: name, kind, distinct values in
+// rank order, dense rank array — so the worker rebuilds the table directly
+// (no CSV render/re-parse) and the fingerprint check in the handshake proves
+// the transfer lossless.
 //
 // Every decoder is total: arbitrary bytes produce an error, never a panic or
 // an unbounded allocation (counts are validated against the remaining payload
-// before any slice is allocated). FuzzDecodeFrame/FuzzDecodeTasks pin this.
+// before any slice is allocated). FuzzDecodeFrame/FuzzDecodeTasks pin this,
+// and dataset.FuzzDecodeColumnar pins it for the dataset payload.
 package shard
 
 import (
@@ -34,7 +37,6 @@ import (
 	"time"
 
 	"aod/internal/core"
-	"aod/internal/dataset"
 )
 
 const (
@@ -209,178 +211,6 @@ func (r *wireReader) uvarints(max int) ([]uint64, error) {
 		}
 	}
 	return out, nil
-}
-
-// --- dataset frame ----------------------------------------------------------
-
-// rankWidth picks the narrowest little-endian byte width that can hold every
-// rank of a column with the given distinct count.
-func rankWidth(distinct int) int {
-	switch {
-	case distinct <= 1<<8:
-		return 1
-	case distinct <= 1<<16:
-		return 2
-	default:
-		return 4
-	}
-}
-
-func encodeDatasetPayload(b []byte, m *datasetMsg) []byte {
-	b = appendUvarint(b, uint64(m.Rows))
-	b = appendUvarint(b, uint64(len(m.Cols)))
-	for _, c := range m.Cols {
-		b = appendString(b, c.Name)
-		b = append(b, byte(c.Kind))
-		switch c.Kind {
-		case dataset.KindInt:
-			b = appendUvarint(b, uint64(len(c.Ints)))
-			prev := int64(0)
-			for _, v := range c.Ints {
-				// Distinct values are sorted ascending, so deltas are small
-				// and positive; zigzag keeps the first value (and any hostile
-				// unsorted input) lossless.
-				b = appendVarint(b, v-prev)
-				prev = v
-			}
-		case dataset.KindFloat:
-			b = appendUvarint(b, uint64(len(c.Floats)))
-			for _, v := range c.Floats {
-				b = appendFloat64(b, v)
-			}
-		default:
-			b = appendUvarint(b, uint64(len(c.Strings)))
-			for _, v := range c.Strings {
-				b = appendString(b, v)
-			}
-		}
-		w := rankWidth(distinctOf(c))
-		b = append(b, byte(w))
-		for _, rk := range c.Ranks {
-			switch w {
-			case 1:
-				b = append(b, byte(rk))
-			case 2:
-				b = binary.LittleEndian.AppendUint16(b, uint16(rk))
-			default:
-				b = binary.LittleEndian.AppendUint32(b, uint32(rk))
-			}
-		}
-	}
-	return b
-}
-
-func distinctOf(c dataset.ColumnData) int {
-	switch c.Kind {
-	case dataset.KindInt:
-		return len(c.Ints)
-	case dataset.KindFloat:
-		return len(c.Floats)
-	default:
-		return len(c.Strings)
-	}
-}
-
-func decodeDatasetPayload(r *wireReader) (*datasetMsg, error) {
-	rows64, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if rows64 > uint64(maxFrameBytes) {
-		return nil, fmt.Errorf("shard: row count %d exceeds frame limit", rows64)
-	}
-	rows := int(rows64)
-	ncols, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	m := &datasetMsg{Rows: rows, Cols: make([]dataset.ColumnData, 0, ncols)}
-	for i := 0; i < ncols; i++ {
-		var c dataset.ColumnData
-		if c.Name, err = r.string(); err != nil {
-			return nil, err
-		}
-		kb, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		if kb > byte(dataset.KindString) {
-			return nil, fmt.Errorf("shard: column %q has unknown kind %d", c.Name, kb)
-		}
-		c.Kind = dataset.Kind(kb)
-		distinct, err := r.count(1)
-		if err != nil {
-			return nil, err
-		}
-		if distinct > rows {
-			return nil, fmt.Errorf("shard: column %q has %d distinct values over %d rows", c.Name, distinct, rows)
-		}
-		switch c.Kind {
-		case dataset.KindInt:
-			if distinct > 0 {
-				c.Ints = make([]int64, distinct)
-				prev := int64(0)
-				for j := range c.Ints {
-					d, err := r.varint()
-					if err != nil {
-						return nil, err
-					}
-					prev += d
-					c.Ints[j] = prev
-				}
-			}
-		case dataset.KindFloat:
-			if r.remaining() < 8*distinct {
-				return nil, errFrameTruncated
-			}
-			if distinct > 0 {
-				c.Floats = make([]float64, distinct)
-				for j := range c.Floats {
-					if c.Floats[j], err = r.float64(); err != nil {
-						return nil, err
-					}
-				}
-			}
-		default:
-			if distinct > 0 {
-				c.Strings = make([]string, distinct)
-				for j := range c.Strings {
-					if c.Strings[j], err = r.string(); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		w, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		if w != 1 && w != 2 && w != 4 {
-			return nil, fmt.Errorf("shard: column %q has invalid rank width %d", c.Name, w)
-		}
-		raw, err := r.take(rows * int(w))
-		if err != nil {
-			return nil, err
-		}
-		c.Ranks = make([]int32, rows)
-		for j := 0; j < rows; j++ {
-			var rk uint32
-			switch w {
-			case 1:
-				rk = uint32(raw[j])
-			case 2:
-				rk = uint32(binary.LittleEndian.Uint16(raw[2*j:]))
-			default:
-				rk = binary.LittleEndian.Uint32(raw[4*j:])
-			}
-			if rk >= uint32(distinct) {
-				return nil, fmt.Errorf("shard: column %q row %d has rank %d outside [0,%d)", c.Name, j, rk, distinct)
-			}
-			c.Ranks[j] = int32(rk)
-		}
-		m.Cols = append(m.Cols, c)
-	}
-	return m, nil
 }
 
 // --- level frame ------------------------------------------------------------

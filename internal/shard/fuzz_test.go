@@ -63,11 +63,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cols := make([]dataset.ColumnData, tbl.NumCols())
-	for i := range cols {
-		cols[i] = tbl.Column(i).Data()
-	}
-	f.Add(encodeBody(f, &frame{T: "dataset", Dataset: &datasetMsg{Rows: tbl.NumRows(), Cols: cols}}))
+	f.Add(encodeBody(f, &frame{T: "dataset", Dataset: tbl}))
 	f.Add([]byte{})
 	f.Add([]byte{binMagic})
 	f.Add([]byte{binMagic, protoVersion})

@@ -68,12 +68,12 @@ const maxFrameBytes = 1 << 30
 // body claiming to be one decodes with a nil payload and is rejected by the
 // type checks at each receive site.
 type frame struct {
-	T       string      `json:"t"`
-	Hello   *helloMsg   `json:"hello,omitempty"`
-	Ack     *ackMsg     `json:"ack,omitempty"`
-	Dataset *datasetMsg `json:"-"`
-	Level   *levelMsg   `json:"-"`
-	Result  *resultMsg  `json:"-"`
+	T       string         `json:"t"`
+	Hello   *helloMsg      `json:"hello,omitempty"`
+	Ack     *ackMsg        `json:"ack,omitempty"`
+	Dataset *dataset.Table `json:"-"`
+	Level   *levelMsg      `json:"-"`
+	Result  *resultMsg     `json:"-"`
 }
 
 // helloMsg opens a job session: the dataset's identity and the discovery
@@ -93,15 +93,6 @@ type ackMsg struct {
 	// fingerprint missed the worker's cache).
 	NeedDataset bool   `json:"needDataset,omitempty"`
 	Error       string `json:"error,omitempty"`
-}
-
-// datasetMsg ships the dataset as rank-encoded columns — the exact inputs of
-// dataset.Fingerprint — so the worker reconstructs the table directly instead
-// of rendering and re-parsing CSV. The round trip is proven lossless by the
-// worker comparing the rebuilt table's fingerprint against the hello's.
-type datasetMsg struct {
-	Rows int
-	Cols []dataset.ColumnData
 }
 
 // levelMsg carries one contiguous slice of a lattice level. Trace, when
@@ -135,7 +126,7 @@ func writeFrame(w io.Writer, f *frame) (int, error) {
 		}
 		body = js
 	case "dataset":
-		body = encodeDatasetPayload([]byte{binMagic, protoVersion, binDataset}, f.Dataset)
+		body = dataset.AppendColumnar([]byte{binMagic, protoVersion, binDataset}, f.Dataset)
 	case "level":
 		body = encodeLevelPayload([]byte{binMagic, protoVersion, binLevel}, f.Level)
 	case "result":
@@ -208,7 +199,8 @@ func decodeFrame(body []byte) (*frame, error) {
 	switch body[2] {
 	case binDataset:
 		f.T = "dataset"
-		f.Dataset, err = decodeDatasetPayload(rd)
+		f.Dataset, err = dataset.DecodeColumnar(rd.b)
+		rd.off = len(rd.b) // DecodeColumnar refuses trailing bytes itself
 	case binLevel:
 		f.T = "level"
 		f.Level, err = decodeLevelPayload(rd)

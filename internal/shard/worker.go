@@ -283,11 +283,7 @@ func (w *Worker) handshake(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) (*
 			return nil, fmt.Errorf("expected dataset, got %q", df.T)
 		}
 		w.datasetLoads.Add(1)
-		tbl, err := dataset.TableFromColumns(df.Dataset.Rows, df.Dataset.Cols)
-		if err != nil {
-			w.reply(bw, &frame{T: "ack", Ack: &ackMsg{Error: "rebuilding dataset: " + err.Error()}})
-			return nil, err
-		}
+		tbl := df.Dataset
 		if got := dataset.Fingerprint(tbl); got != h.Fingerprint {
 			err := fmt.Errorf("dataset fingerprint mismatch: got %s, want %s", got, h.Fingerprint)
 			w.reply(bw, &frame{T: "ack", Ack: &ackMsg{Error: err.Error()}})

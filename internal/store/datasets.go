@@ -9,14 +9,14 @@ import (
 	"aod"
 )
 
-const datasetExt = ".csv"
-
-// ErrUnserializable is returned by PutDataset for the rare dataset whose CSV
-// serialization does not reload to identical content (CSV cannot represent a
-// "\r\n" inside a value: the reader folds it to "\n"). Refusing up front is
-// honest — acknowledging the upload and quarantining it on reload would be
-// silent data loss.
-var ErrUnserializable = errors.New("store: dataset does not survive CSV serialization")
+const (
+	// datasetExt names payloads in the columnar encoding
+	// (aod.Dataset.AppendColumnar).
+	datasetExt = ".col"
+	// legacyDatasetExt names the CSV payloads of the earlier layout, which
+	// Open migrates (see migrateLegacyPayloads).
+	legacyDatasetExt = ".csv"
+)
 
 // datasetPath is the content-addressed payload file for a fingerprint.
 func (s *Store) datasetPath(fingerprint string) string {
@@ -31,37 +31,46 @@ func (s *Store) PutDataset(meta DatasetMeta, ds *aod.Dataset) error {
 	if meta.Fingerprint == "" {
 		return errors.New("store: dataset meta has no fingerprint")
 	}
-	path := s.datasetPath(meta.Fingerprint)
-	var buf bytes.Buffer
-	if err := ds.WriteCSV(&buf); err != nil {
-		return fmt.Errorf("store: encoding dataset %s: %w", meta.ID, err)
-	}
-	// Prove the payload reloads to the identical content BEFORE
-	// acknowledging durability; LoadDataset would otherwise quarantine it
-	// on first use after a restart.
-	back, err := aod.ReadCSV(bytes.NewReader(buf.Bytes()), aod.CSVOptions{Types: meta.Types})
-	if err != nil || back.Fingerprint() != meta.Fingerprint {
-		return fmt.Errorf("%w: dataset %s", ErrUnserializable, meta.ID)
-	}
-	// The file is content-addressed, so byte-identical content already on
-	// disk needs no write; anything else there (in-place corruption of an
-	// earlier copy) is replaced — a re-upload of the same content heals it.
-	// WriteCSV is deterministic, so the comparison is exact.
-	if existing, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(existing, buf.Bytes()) {
-		if rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-			return fmt.Errorf("store: probing dataset %s: %w", meta.ID, rerr)
-		}
-		if err := s.writeFileAtomic(path, buf.Bytes()); err != nil {
-			return fmt.Errorf("store: writing dataset %s: %w", meta.ID, err)
-		}
+	if err := s.putPayload(meta.Fingerprint, ds); err != nil {
+		return fmt.Errorf("store: dataset %s: %w", meta.ID, err)
 	}
 	return s.upsertDataset(meta)
 }
 
-// LoadDataset reloads the payload for meta, parsing the CSV with the
-// manifest's recorded column types (lossless) and verifying that the
-// reloaded content re-derives meta.Fingerprint. A payload that fails to
-// parse or verify is quarantined, dropped from the manifest, and reported
+// putPayload encodes ds, proves the bytes decode to content with the given
+// fingerprint BEFORE anything is acknowledged — LoadDataset would otherwise
+// quarantine the payload on first use after a restart — and writes them
+// under the fingerprint's name.
+func (s *Store) putPayload(fingerprint string, ds *aod.Dataset) error {
+	data := ds.AppendColumnar(nil)
+	back, err := aod.DecodeColumnar(data)
+	if err != nil {
+		return fmt.Errorf("encoded payload does not decode: %w", err)
+	}
+	if back.Fingerprint() != fingerprint {
+		return errors.New("encoded payload does not reproduce the fingerprint")
+	}
+	// The file is content-addressed and the encoding deterministic, so
+	// byte-identical content already on disk needs no write; anything else
+	// there (in-place corruption of an earlier copy) is replaced — a
+	// re-upload of the same content heals it.
+	path := s.datasetPath(fingerprint)
+	existing, rerr := os.ReadFile(path)
+	if rerr == nil && bytes.Equal(existing, data) {
+		return nil
+	}
+	if rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+		return fmt.Errorf("probing payload: %w", rerr)
+	}
+	if err := s.writeFileAtomic(path, data); err != nil {
+		return fmt.Errorf("writing payload: %w", err)
+	}
+	return nil
+}
+
+// LoadDataset reloads the payload for meta, decoding it and verifying that
+// the decoded content re-derives meta.Fingerprint. A payload that fails to
+// decode or verify is quarantined, dropped from the manifest, and reported
 // as ErrCorrupt; a missing payload is ErrNotFound. Neither is fatal to the
 // caller — the dataset is simply no longer served until re-uploaded.
 func (s *Store) LoadDataset(meta DatasetMeta) (*aod.Dataset, error) {
@@ -74,10 +83,10 @@ func (s *Store) LoadDataset(meta DatasetMeta) (*aod.Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: opening dataset %s: %w", meta.ID, err)
 	}
-	ds, perr := aod.ReadCSV(bytes.NewReader(data), aod.CSVOptions{Types: meta.Types})
-	if perr != nil {
+	ds, derr := aod.DecodeColumnar(data)
+	if derr != nil {
 		s.condemnDataset(meta, path, data)
-		return nil, fmt.Errorf("%w: dataset %s: %v", ErrCorrupt, meta.ID, perr)
+		return nil, fmt.Errorf("%w: dataset %s: %v", ErrCorrupt, meta.ID, derr)
 	}
 	if fp := ds.Fingerprint(); fp != meta.Fingerprint {
 		s.condemnDataset(meta, path, data)
@@ -97,4 +106,40 @@ func (s *Store) condemnDataset(meta DatasetMeta, path string, read []byte) {
 	}
 	s.quarantine(path)
 	s.dropDataset(meta.Fingerprint)
+}
+
+// migrateLegacyPayloads rewrites, once, every listed dataset whose payload
+// is still a CSV file of the earlier layout. Each is read with the
+// manifest's column types, verified against its fingerprint, written in the
+// columnar encoding and only then removed, so a crash at any point leaves a
+// verified copy under one of the two names and the next Open finishes the
+// job. A CSV payload that fails to parse or verify is quarantined; its
+// entry is dropped unless a columnar copy already exists. Only I/O errors
+// fail the migration.
+func (s *Store) migrateLegacyPayloads() error {
+	for _, meta := range s.Datasets() {
+		legacy := s.path(datasetsDir, meta.Fingerprint+legacyDatasetExt)
+		data, err := os.ReadFile(legacy)
+		if errors.Is(err, os.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("store: reading legacy payload %s: %w", meta.ID, err)
+		}
+		ds, perr := aod.ReadCSV(bytes.NewReader(data), aod.CSVOptions{Types: meta.Types})
+		if perr != nil || ds.Fingerprint() != meta.Fingerprint {
+			s.quarantine(legacy)
+			if _, err := os.Stat(s.datasetPath(meta.Fingerprint)); err != nil {
+				s.dropDataset(meta.Fingerprint)
+			}
+			continue
+		}
+		if err := s.putPayload(meta.Fingerprint, ds); err != nil {
+			return fmt.Errorf("store: migrating dataset %s: %w", meta.ID, err)
+		}
+		if err := os.Remove(legacy); err != nil {
+			return fmt.Errorf("store: removing migrated payload %s: %w", meta.ID, err)
+		}
+	}
+	return nil
 }

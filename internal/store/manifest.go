@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -13,9 +14,10 @@ import (
 )
 
 // DatasetMeta is the durable registry metadata for one stored dataset — the
-// manifest entry plus everything needed to reload and verify its payload
-// (column Types make the CSV reload lossless; the Fingerprint is re-derived
-// from the reloaded table and must match).
+// manifest entry plus everything needed to verify its payload (the
+// Fingerprint is re-derived from the reloaded table and must match). The
+// payload carries its own column kinds; Types also reads the earlier
+// layout's CSV payloads losslessly while Open migrates them.
 type DatasetMeta struct {
 	ID          string    `json:"id"`
 	Name        string    `json:"name,omitempty"`
@@ -87,11 +89,14 @@ func (s *Store) saveManifestLocked() error {
 }
 
 // recoverManifest rebuilds the manifest by scanning the dataset payload
-// files after the manifest itself was quarantined. Each <fp>.csv is parsed
-// with type inference and re-indexed only when its recomputed fingerprint
-// matches its file name; files that do not verify (corrupt, or dependent on
-// non-inferred column types) are left in place unlisted — re-uploading the
-// same content restores them losslessly.
+// files after the manifest itself was quarantined. A columnar payload
+// carries its column names and kinds, so each <fp>.col is re-indexed
+// whenever it decodes to content whose fingerprint matches its file name. A
+// CSV payload of the earlier layout carries no kinds: it is parsed with
+// type inference and re-indexed only if that reproduces its fingerprint,
+// which a column the inference would re-type (integral floats, numeric
+// strings) prevents. Files that do not verify are left in place unlisted —
+// re-uploading the same content restores them.
 func (s *Store) recoverManifest() error {
 	s.manifest = manifestFile{Version: manifestVersion}
 	entries, err := os.ReadDir(s.path(datasetsDir))
@@ -99,12 +104,11 @@ func (s *Store) recoverManifest() error {
 		return fmt.Errorf("store: scanning datasets for recovery: %w", err)
 	}
 	for _, e := range entries {
-		fp, ok := strings.CutSuffix(e.Name(), datasetExt)
-		if !ok || e.IsDir() {
+		if e.IsDir() {
 			continue
 		}
-		ds, err := aod.ReadCSVFile(s.path(datasetsDir, e.Name()), aod.CSVOptions{})
-		if err != nil || ds.Fingerprint() != fp {
+		ds, fp := s.readPayloadForRecovery(e.Name())
+		if ds == nil || ds.Fingerprint() != fp {
 			continue
 		}
 		meta := DatasetMeta{
@@ -119,13 +123,42 @@ func (s *Store) recoverManifest() error {
 			meta.CreatedAt = info.ModTime().UTC()
 		}
 		s.manifest.Datasets = append(s.manifest.Datasets, meta)
-		s.recovered++
 	}
-	// Deterministic listing order after recovery.
+	// Deterministic listing order after recovery. A crash mid-migration can
+	// leave both payloads of one dataset; list it once.
 	sort.Slice(s.manifest.Datasets, func(i, j int) bool {
 		return s.manifest.Datasets[i].Fingerprint < s.manifest.Datasets[j].Fingerprint
 	})
+	s.manifest.Datasets = slices.CompactFunc(s.manifest.Datasets, func(a, b DatasetMeta) bool {
+		return a.Fingerprint == b.Fingerprint
+	})
+	s.recovered = len(s.manifest.Datasets)
 	return s.saveManifestLocked()
+}
+
+// readPayloadForRecovery parses one payload file by its extension and
+// returns it with the fingerprint its name claims; nil if it does not parse.
+func (s *Store) readPayloadForRecovery(name string) (*aod.Dataset, string) {
+	path := s.path(datasetsDir, name)
+	if fp, ok := strings.CutSuffix(name, datasetExt); ok {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, ""
+		}
+		ds, err := aod.DecodeColumnar(data)
+		if err != nil {
+			return nil, ""
+		}
+		return ds, fp
+	}
+	if fp, ok := strings.CutSuffix(name, legacyDatasetExt); ok {
+		ds, err := aod.ReadCSVFile(path, aod.CSVOptions{})
+		if err != nil {
+			return nil, ""
+		}
+		return ds, fp
+	}
+	return nil, ""
 }
 
 // upsertDataset replaces or appends the manifest entry for meta.Fingerprint

@@ -8,10 +8,17 @@
 // On-disk layout:
 //
 //	<dir>/manifest.json        registry metadata snapshot (atomic rewrite)
-//	<dir>/datasets/<fp>.csv    dataset payloads named by content fingerprint
+//	<dir>/datasets/<fp>.col    dataset payloads named by content fingerprint
 //	<dir>/reports/<h>.json     report envelopes named by SHA-256 of cache key
 //	<dir>/quarantine/          corrupt files are moved here, never deleted
 //	<dir>/tmp/                 staging area for atomic write-then-rename
+//
+// A dataset payload is the columnar encoding of aod.Dataset.AppendColumnar —
+// the rank-encoded columns with their names, kinds and distinct values, the
+// same bytes a shard worker receives — so a reload decodes ranks instead of
+// parsing text, and every value round-trips. An earlier layout stored CSV
+// as <fp>.csv; Open migrates such payloads once (see
+// migrateLegacyPayloads).
 //
 // Every write is write-to-temp + fsync + rename, so a crash mid-write leaves
 // at worst an orphan in tmp/, never a torn file under a live name. Every
@@ -88,9 +95,9 @@ type commitReq struct {
 }
 
 // Open prepares the data directory (creating it and its subdirectories as
-// needed) and loads the manifest. A corrupt manifest is quarantined and
-// rebuilt by scanning the dataset files, so Open fails only on I/O errors,
-// never on bad content.
+// needed), loads the manifest and migrates CSV payloads of the earlier
+// layout. A corrupt manifest is quarantined and rebuilt by scanning the
+// dataset files, so Open fails only on I/O errors, never on bad content.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty data directory")
@@ -109,6 +116,9 @@ func Open(dir string) (*Store, error) {
 		}
 	}
 	if err := s.loadManifest(); err != nil {
+		return nil, err
+	}
+	if err := s.migrateLegacyPayloads(); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -104,20 +106,35 @@ func TestPutDatasetIsContentAddressed(t *testing.T) {
 	}
 }
 
+// TestPutDatasetRefusesUnserializableContent keeps its name from when CSV
+// payloads had to refuse this content: CSV folds a quoted "\r\n" to "\n" on
+// read, so the value could not round-trip. A columnar payload carries every
+// string as its bytes, so the store now accepts it and it reloads unchanged
+// across a reopen.
 func TestPutDatasetRefusesUnserializableContent(t *testing.T) {
-	// CSV folds a quoted "\r\n" to "\n" on read, so this value cannot
-	// round-trip; the store must refuse durability instead of quarantining
-	// the payload after the restart.
 	ds, err := aod.NewBuilder().AddStrings("s", []string{"a\r\nb", "c"}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustOpen(t, t.TempDir())
-	if err := s.PutDataset(metaFor("cr", ds), ds); !errors.Is(err, ErrUnserializable) {
-		t.Fatalf("PutDataset error = %v, want ErrUnserializable", err)
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	meta := metaFor("cr", ds)
+	if err := s.PutDataset(meta, ds); err != nil {
+		t.Fatalf("PutDataset: %v", err)
 	}
-	if len(s.Datasets()) != 0 {
-		t.Error("refused dataset still entered the manifest")
+	s2 := mustOpen(t, dir)
+	if metas := s2.Datasets(); len(metas) != 1 || metas[0].Fingerprint != meta.Fingerprint {
+		t.Fatalf("reopened manifest = %+v, want the one dataset", metas)
+	}
+	got, err := s2.LoadDataset(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := got.Value(0, "s"); err != nil || v != "a\r\nb" {
+		t.Errorf("reloaded value = %q (err %v), want %q", v, err, "a\r\nb")
+	}
+	if got.Fingerprint() != meta.Fingerprint {
+		t.Errorf("reloaded fingerprint %s, want %s", got.Fingerprint(), meta.Fingerprint)
 	}
 }
 
@@ -188,10 +205,21 @@ func TestCorruptReportIsQuarantinedNotFatal(t *testing.T) {
 }
 
 func TestCorruptDatasetIsQuarantinedNotFatal(t *testing.T) {
+	good := trickyDataset(t).AppendColumnar(nil)
+	// A payload that still decodes but to other content: the last rank of
+	// the last column (n, ranks 3 2 1 0) becomes 1, so the column reads
+	// 4 3 2 2 — caught only by the fingerprint check.
+	tampered := bytes.Clone(good)
+	tampered[len(tampered)-1] = 1
+	if _, err := aod.DecodeColumnar(tampered); err != nil {
+		t.Fatalf("tampered payload must still decode: %v", err)
+	}
 	for name, corrupt := range map[string]string{
-		"garbage":   "not a csv at all \x00\xff",
-		"truncated": "ratio,code\n1,",
-		"tampered":  "ratio,code,n\n1,01,4\n2,2,3\n4,10,2\n8,007,9\n",
+		"garbage":          "not a csv at all \x00\xff",
+		"truncated":        "ratio,code\n1,",
+		"tampered":         "ratio,code,n\n1,01,4\n2,2,3\n4,10,2\n8,007,9\n",
+		"columnar-cut":     string(good[:len(good)-3]),
+		"columnar-altered": string(tampered),
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := mustOpen(t, t.TempDir())
@@ -223,8 +251,6 @@ func TestCorruptDatasetIsQuarantinedNotFatal(t *testing.T) {
 func TestCorruptManifestIsRecoveredFromPayloads(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	// Two datasets whose inferred types equal their declared types — fully
-	// recoverable from payload alone.
 	intDS, err := aod.NewBuilder().AddInts("a", []int64{3, 1, 2}).AddStrings("b", []string{"x", "y", "x"}).Build()
 	if err != nil {
 		t.Fatal(err)
@@ -233,9 +259,8 @@ func TestCorruptManifestIsRecoveredFromPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One dataset that is NOT type-recoverable by inference (integral-valued
-	// floats re-infer as ints): the scan must skip it without quarantining
-	// the perfectly good payload.
+	// Integral-valued floats would re-infer as ints from text; the payload
+	// carries the kinds, so this one comes back too.
 	floatDS, err := aod.NewBuilder().AddFloats("f", []float64{1, 2, 3}).Build()
 	if err != nil {
 		t.Fatal(err)
@@ -250,30 +275,38 @@ func TestCorruptManifestIsRecoveredFromPayloads(t *testing.T) {
 	}
 
 	s2 := mustOpen(t, dir)
-	if got := s2.Recovered(); got != 2 {
-		t.Errorf("recovered = %d, want 2", got)
+	if got := s2.Recovered(); got != 3 {
+		t.Errorf("recovered = %d, want 3", got)
 	}
 	metas := s2.Datasets()
-	if len(metas) != 2 {
-		t.Fatalf("recovered manifest lists %d datasets, want 2", len(metas))
+	if len(metas) != 3 {
+		t.Fatalf("recovered manifest lists %d datasets, want 3", len(metas))
 	}
+	sawFloat := false
 	for _, m := range metas {
-		if m.Fingerprint == floatDS.Fingerprint() {
-			t.Error("type-ambiguous dataset wrongly recovered")
-		}
-		if _, err := s2.LoadDataset(m); err != nil {
+		ds, err := s2.LoadDataset(m)
+		if err != nil {
 			t.Errorf("recovered dataset %s does not load: %v", m.ID, err)
+			continue
+		}
+		if m.Fingerprint != floatDS.Fingerprint() {
+			continue
+		}
+		sawFloat = true
+		if !slices.Equal(m.Types, []string{"float"}) || !slices.Equal(m.Columns, []string{"f"}) {
+			t.Errorf("float dataset recovered as columns %v of kinds %v, want [f] of [float]", m.Columns, m.Types)
+		}
+		if ds.Fingerprint() != floatDS.Fingerprint() {
+			t.Errorf("float dataset reloads with fingerprint %s, want %s", ds.Fingerprint(), floatDS.Fingerprint())
 		}
 	}
-	// The skipped payload must still be on disk, ready for a re-upload to
-	// restore it losslessly.
-	if _, err := os.Stat(s2.datasetPath(floatDS.Fingerprint())); err != nil {
-		t.Errorf("unrecovered payload missing: %v", err)
+	if !sawFloat {
+		t.Error("float dataset not recovered")
 	}
 	// The recovered manifest is durable: a third open needs no rescan.
 	s3 := mustOpen(t, dir)
-	if s3.Recovered() != 0 || len(s3.Datasets()) != 2 {
-		t.Errorf("third open: recovered=%d datasets=%d, want 0 and 2", s3.Recovered(), len(s3.Datasets()))
+	if s3.Recovered() != 0 || len(s3.Datasets()) != 3 {
+		t.Errorf("third open: recovered=%d datasets=%d, want 0 and 3", s3.Recovered(), len(s3.Datasets()))
 	}
 }
 
