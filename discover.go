@@ -206,8 +206,11 @@ type Stats struct {
 	// OCsFoundPerLevel / OFDsFoundPerLevel index discovered counts by level.
 	OCsFoundPerLevel  []int `json:"ocsFoundPerLevel"`
 	OFDsFoundPerLevel []int `json:"ofdsFoundPerLevel"`
-	// ValidationTime is wall-clock time inside validators; PartitionTime is
-	// time spent building partitions; TotalTime is end-to-end.
+	// ValidationTime is the wall-clock time of each lattice node from its
+	// first validated candidate to its last verdict, less PartitionTime:
+	// the validators, the pruning checks and context lookups between them,
+	// and removal-set collection. PartitionTime is time spent building
+	// partitions; TotalTime is end-to-end.
 	ValidationTime time.Duration `json:"validationTimeNs"`
 	PartitionTime  time.Duration `json:"partitionTimeNs"`
 	TotalTime      time.Duration `json:"totalTimeNs"`

@@ -139,6 +139,29 @@ func TestTaskRunnerIgnoresTimeLimit(t *testing.T) {
 	}
 }
 
+// TestTaskClockStartsAtFirstValidation pins what a task charges as
+// validation time: a task whose candidates pruning skips all reads no clock
+// and charges nothing, and a task that validates charges its time.
+func TestTaskClockStartsAtFirstValidation(t *testing.T) {
+	tbl := randomTable(rand.New(rand.NewSource(3)), 300, 5, 4)
+	runner, err := Prepare(tbl).NewTaskRunner(Config{Threshold: 0.1, Validator: ValidatorOptimal, IncludeOFDs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := lattice.NewPairSet(tbl.NumCols()).Words()
+	res := runner.RunLevel(context.Background(), []NodeTask{
+		// Both OFDs hold below and a is constant in the OC's context.
+		{Set: 0b11, Level: 2, ConstValid: 0b11, ParentConst: []uint64{0, 0b01}, OCValid: words},
+		{Set: 0b11, Level: 2, ParentConst: make([]uint64, 2), OCValid: words},
+	})
+	if res[0].Candidates != 0 || res[0].Stats.ValidationTime != 0 {
+		t.Errorf("a fully pruned task validated %d candidates and charged %v", res[0].Candidates, res[0].Stats.ValidationTime)
+	}
+	if res[1].Candidates == 0 || res[1].Stats.ValidationTime <= 0 {
+		t.Errorf("a task that validated %d candidates charged %v", res[1].Candidates, res[1].Stats.ValidationTime)
+	}
+}
+
 // TestCancelBeforeTaskValidatesNothing pins the cancellation poll: once the
 // context is done, no engine validates another candidate. Under Serial() and
 // Pool(2) the context is canceled at the end of level 1, so level 2 must

@@ -76,8 +76,9 @@ func (p *PreparedTable) NewTaskRunner(cfg Config) (*TaskRunner, error) {
 	return &TaskRunner{t: t, eng: &engine{t: t, v: validate.New()}}, nil
 }
 
-// PartitionCacheStats returns the runner's partition-memo hit and split
-// build counts so far (hits include generation carry-overs).
+// PartitionCacheStats returns the runner's partition-memo hit and build
+// counts so far (hits include generation carry-overs; builds count splits
+// and aliases alike).
 func (r *TaskRunner) PartitionCacheStats() (hits, builds uint64) {
 	return r.t.memo.Stats()
 }

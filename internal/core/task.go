@@ -169,8 +169,23 @@ func buildTask(task *NodeTask, node *lattice.Node, parents *lattice.Level, numAt
 // ablation (DisablePruning), which measures its cost but keeps no verdict.
 // Cancellation is polled right before each validation, never on a skipped
 // candidate, so a task that starts after cancellation validates nothing.
+//
+// The clock is read when the task reaches its first candidate to validate
+// and when it ends, and everything in between but the partition time the
+// task charged counts as validation time. A task that validates nothing,
+// as most nodes of wide flat levels do, reads no clock.
 func (e *engine) execTask(task *NodeTask, nr *NodeResult) {
 	nr.reset()
+	var start time.Time
+	e.examine(task, nr, &start)
+	if !start.IsZero() {
+		nr.Stats.ValidationTime = time.Since(start) - nr.Stats.PartitionTime
+	}
+}
+
+// examine is execTask's candidate walk. It sets start when it reaches the
+// first candidate to validate.
+func (e *engine) examine(task *NodeTask, nr *NodeResult, start *time.Time) {
 	st := &nr.Stats
 	set := lattice.AttrSet(task.Set)
 	propagatedConst := lattice.AttrSet(task.ConstValid)
@@ -191,12 +206,13 @@ func (e *engine) execTask(task *NodeTask, nr *NodeResult) {
 		if e.aborted() {
 			return
 		}
+		if start.IsZero() {
+			*start = time.Now()
+		}
 		ctx := e.context(set.Remove(d), st)
 		st.OFDCandidates++
 		nr.Candidates++
-		t0 := time.Now()
 		r := e.validateOFD(ctx, e.t.tbl.Column(d))
-		st.ValidationTime += time.Since(t0)
 		if skip || !r.Valid {
 			continue
 		}
@@ -250,13 +266,14 @@ func (e *engine) execTask(task *NodeTask, nr *NodeResult) {
 				if e.aborted() {
 					return
 				}
+				if start.IsZero() {
+					*start = time.Now()
+				}
 				gpSet := set.Remove(a).Remove(b)
 				ctx := e.context(gpSet, st)
 				st.OCCandidates++
 				nr.Candidates++
-				t0 := time.Now()
 				r := e.validateOCVia(gpSet, ctx, a, b, desc)
-				st.ValidationTime += time.Since(t0)
 				if skip || !r.Valid {
 					continue
 				}

@@ -32,3 +32,21 @@ func BenchmarkReadCSV(b *testing.B) {
 		})
 	}
 }
+
+// fingerprintSink keeps the benchmarked hash live.
+var fingerprintSink string
+
+// BenchmarkFingerprint measures the content hash that names an uploaded
+// dataset, on the upload tables of the service benchmark. An upload pays it
+// twice: at registration and when the stored copy is verified.
+func BenchmarkFingerprint(b *testing.B) {
+	for _, sh := range uploadShapes {
+		tbl := gen.Flight(gen.FlightConfig{Rows: sh.rows, Attrs: sh.attrs, Seed: 42})
+		b.Run(fmt.Sprintf("flight-%dx%d", sh.rows, sh.attrs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fingerprintSink = dataset.Fingerprint(tbl)
+			}
+		})
+	}
+}

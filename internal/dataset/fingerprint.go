@@ -4,8 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
+	"slices"
 )
 
 // Fingerprint returns a hex-encoded SHA-256 content hash of the table:
@@ -16,51 +16,48 @@ import (
 // options — the property the service layer's result cache relies on.
 func Fingerprint(t *Table) string {
 	h := sha256.New()
-	writeInt(h, int64(t.rows))
-	writeInt(h, int64(len(t.cols)))
+	buf := appendInt(nil, int64(t.rows))
+	buf = appendInt(buf, int64(len(t.cols)))
+	h.Write(buf)
 	for _, c := range t.cols {
-		writeBytes(h, []byte(c.name))
-		writeInt(h, int64(c.kind))
-		writeInt(h, int64(c.distinct))
+		buf = appendBytes(buf[:0], c.name)
+		buf = appendInt(buf, int64(c.kind))
+		buf = appendInt(buf, int64(c.distinct))
+		buf = slices.Grow(buf, 8*c.distinct+4*len(c.ranks))
 		switch c.kind {
 		case KindInt:
 			for _, v := range c.intVals {
-				writeInt(h, v)
+				buf = appendInt(buf, v)
 			}
 		case KindFloat:
 			for _, v := range c.floatVals {
 				// NaN bit patterns vary; the builder keeps at most one NaN
 				// (rank 0), so a canonical quiet-NaN encoding suffices.
 				if math.IsNaN(v) {
-					writeInt(h, int64(math.Float64bits(math.NaN())))
-				} else {
-					writeInt(h, int64(math.Float64bits(v)))
+					v = math.NaN()
 				}
+				buf = appendInt(buf, int64(math.Float64bits(v)))
 			}
 		default:
 			for _, v := range c.stringVals {
-				writeBytes(h, []byte(v))
+				buf = appendBytes(buf, v)
 			}
 		}
 		// Ranks are int32; pack them directly.
-		buf := make([]byte, 4*len(c.ranks))
-		for i, r := range c.ranks {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(r))
+		for _, r := range c.ranks {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
 		}
 		h.Write(buf)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func writeInt(h hash.Hash, v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	h.Write(buf[:])
+func appendInt(b []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
 }
 
-// writeBytes length-prefixes the payload so adjacent variable-length fields
+// appendBytes length-prefixes the payload so adjacent variable-length fields
 // cannot alias ("ab","c" vs "a","bc").
-func writeBytes(h hash.Hash, b []byte) {
-	writeInt(h, int64(len(b)))
-	h.Write(b)
+func appendBytes(b []byte, s string) []byte {
+	return append(appendInt(b, int64(len(s))), s...)
 }

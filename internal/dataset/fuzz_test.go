@@ -116,8 +116,10 @@ func tableContainsCR(t *Table) bool {
 // FuzzFingerprint checks the contract the registry and result cache build
 // on: the fingerprint is a pure function of content (equal content ⇒ equal
 // fingerprint, across independent constructions) and sensitive to what
-// content means — row order, column names, and column kinds. Additional
-// seeds live in testdata/fuzz/FuzzFingerprint.
+// content means — row order, column names, and column kinds. Every table it
+// builds, one of each column kind among them, must also keep the id
+// legacyFingerprint gives it. Additional seeds live in
+// testdata/fuzz/FuzzFingerprint.
 func FuzzFingerprint(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}, "col")
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, "")
@@ -177,6 +179,25 @@ func FuzzFingerprint(f *testing.F) {
 		}
 		if Fingerprint(wide) == base {
 			t.Fatal("column count ignored by fingerprint")
+		}
+		// Ids must not change: every kind, a NaN among the floats, hashes
+		// as it did value by value.
+		strs, fl := make([]string, len(vals)), make([]float64, len(vals))
+		for i, v := range vals {
+			strs[i] = strings.Repeat("x", int(uint64(v)%5)) + fmt.Sprint(v%7)
+			fl[i] = float64(v % 11)
+		}
+		if vals[0]%2 != 0 {
+			fl[0] = math.NaN()
+		}
+		mixed, err := NewBuilder().AddStrings(name, strs).AddInts(name+"i", vals).AddFloats(name+"f", fl).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tbl := range []*Table{build(name, vals), ftbl, wide, mixed} {
+			if got, want := Fingerprint(tbl), legacyFingerprint(tbl); got != want {
+				t.Fatalf("fingerprint %s, want the value-by-value id %s", got, want)
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -357,5 +358,73 @@ func TestUploadFanout(t *testing.T) {
 	}
 	if got := rec.Header().Get("X-AOD-Router-Replicas"); got != "2/2" {
 		t.Fatalf("replication header = %q, want 2/2", got)
+	}
+}
+
+// TestClientCancelLeavesReplicaUp: a client that gives up on a stream before
+// its only replica sends headers leaves that replica up, so /healthz keeps
+// answering 200. The router's own attempt timeout, and a refused
+// connection, still mark a replica down.
+func TestClientCancelLeavesReplicaUp(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	hang := func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}
+	slow := fakeBackend(t, func(mux *http.ServeMux) {
+		mux.HandleFunc("GET /jobs/job-1/stream", hang)
+		mux.HandleFunc("GET /jobs/job-2", hang)
+	})
+	defer close(release)
+	rt := newTestRouter(t, Config{
+		Replicas:       []string{slow.URL},
+		BackoffBase:    time.Millisecond,
+		ProbeInterval:  time.Hour,
+		AttemptTimeout: 50 * time.Millisecond,
+		MaxAttempts:    1,
+	})
+	rp := rt.replicas[0]
+	healthz := func() int {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		return rec.Code
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		req := httptest.NewRequest(http.MethodGet, "/jobs/r0.job-1/stream", nil).WithContext(ctx)
+		rt.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	<-arrived
+	cancel()
+	<-served
+	if !rp.up.Load() {
+		t.Fatalf("a client's cancellation marked the replica down (%v)", rp.lastErr.Load())
+	}
+	if code := healthz(); code != http.StatusOK {
+		t.Fatalf("/healthz = %d after a client's cancellation, want 200", code)
+	}
+
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/r0.job-2", nil))
+	if rec.Code != http.StatusBadGateway || rp.up.Load() {
+		t.Fatalf("an attempt past the router's timeout answered %d with the replica up %v; want 502, down", rec.Code, rp.up.Load())
+	}
+
+	gone := fakeBackend(t, nil)
+	gone.Close()
+	rt = newTestRouter(t, Config{Replicas: []string{gone.URL}, BackoffBase: time.Millisecond, ProbeInterval: time.Hour, MaxAttempts: 1})
+	rt.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/jobs/r0.job-3", nil))
+	if rt.replicas[0].up.Load() {
+		t.Fatal("a refused connection left the replica up")
 	}
 }

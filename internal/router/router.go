@@ -295,11 +295,14 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 // do runs one RPC against one replica through the (possibly fault-wrapped)
 // transport, recording per-replica latency and passively marking the
 // replica down on transport errors — the probe loop will mark it back up.
+// An attempt ended by the caller's own cancellation says nothing about the
+// replica and leaves it up; the router's attempt timeouts end an attempt
+// with a deadline, not a cancellation, so they still mark it down.
 func (rt *Router) do(rp *replica, req *http.Request) (*http.Response, error) {
 	t0 := time.Now()
 	resp, err := rt.transport.RoundTrip(req)
 	rt.met.rpc[rp.idx].Observe(time.Since(t0))
-	if err != nil {
+	if err != nil && !errors.Is(req.Context().Err(), context.Canceled) {
 		rt.setUp(rp, false, err.Error())
 	}
 	return resp, err
