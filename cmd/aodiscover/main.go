@@ -116,9 +116,9 @@ func main() {
 	}
 
 	st := rep.Stats
-	fmt.Printf("discovery: %s total (%.1f%% validation), %d nodes, %d OC / %d OFD candidates",
+	fmt.Printf("discovery: %s total (%.1f%% validation), %d nodes, %d OC / %d OFD candidates (%d / %d skipped: exact FD in context)",
 		st.TotalTime.Round(time.Millisecond), st.ValidationShare()*100,
-		st.NodesProcessed, st.OCCandidates, st.OFDCandidates)
+		st.NodesProcessed, st.OCCandidates, st.OFDCandidates, st.OCSkippedFD, st.OFDSkippedFD)
 	if st.TimedOut {
 		fmt.Print(" [TIMED OUT — partial results]")
 	}

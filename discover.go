@@ -203,6 +203,11 @@ type Stats struct {
 	// OCCandidates and OFDCandidates count validated candidates.
 	OCCandidates  int `json:"ocCandidates"`
 	OFDCandidates int `json:"ofdCandidates"`
+	// OCSkippedFD and OFDSkippedFD count the candidates skipped unvalidated
+	// because their context X holds an exact FD X∖{c} → c: the same
+	// candidate over X∖{c} decided them one level down.
+	OCSkippedFD  int `json:"ocSkippedFD,omitempty"`
+	OFDSkippedFD int `json:"ofdSkippedFD,omitempty"`
 	// OCsFoundPerLevel / OFDsFoundPerLevel index discovered counts by level.
 	OCsFoundPerLevel  []int `json:"ocsFoundPerLevel"`
 	OFDsFoundPerLevel []int `json:"ofdsFoundPerLevel"`
@@ -380,6 +385,8 @@ func buildReport(names []string, res *core.Result) *Report {
 			NodesProcessed:    res.Stats.NodesProcessed,
 			OCCandidates:      res.Stats.OCCandidates,
 			OFDCandidates:     res.Stats.OFDCandidates,
+			OCSkippedFD:       res.Stats.OCSkippedFD,
+			OFDSkippedFD:      res.Stats.OFDSkippedFD,
 			OCsFoundPerLevel:  res.Stats.OCsFoundPerLevel,
 			OFDsFoundPerLevel: res.Stats.OFDsFoundPerLevel,
 			ValidationTime:    res.Stats.ValidationTime,

@@ -16,6 +16,19 @@
 // With the iterative validator the engine reproduces the legacy system's
 // behaviour instead: overestimated approximation factors can both miss AOCs
 // and surface non-minimal ones (Exp-4 of the paper).
+//
+// Pruning skips, without validating them, the candidates these definitions
+// already decide: an OFD or OC valid in a sub-context (minimality), an OC
+// with a side constant in its context (constancy), and, as TANE [3] does
+// for FDs, every candidate whose context X holds an exact FD X∖{c} → c.
+// There Π_X = Π_{X∖{c}}, so the candidate has the error of the same
+// candidate over X∖{c}, one level down: if that one holds, minimality or
+// constancy skips this one; if not, this one fails too. The rule needs
+// exact FDs: the exact validator's OFDs, or the OFDs the approximate
+// validators verify with zero removals, propagated to supersets. An
+// approximate OFD leaves Π_X ≠ Π_{X∖{c}} and skips nothing. Holding an
+// exact FD is upward-closed (X∖{c} → c gives Y∖{c} → c for Y ⊇ X), so a
+// level with no candidate left to validate ends the run.
 package core
 
 import (
@@ -78,10 +91,14 @@ type Config struct {
 	// coordinator cancels their RunLevel context), so the field may ride
 	// along in any config handed to one.
 	TimeLimit time.Duration
-	// DisablePruning is an ablation switch: every candidate is validated
-	// even when minimality/constancy pruning could skip it (reported
-	// dependencies are still filtered to the minimal set). Used to measure
-	// the pruning benefit the paper's Exp-5 relies on.
+	// DisablePruning is an ablation switch, the exhaustive walk: every
+	// candidate is validated even when minimality, constancy or exact-FD
+	// pruning could skip it, and no verdict of a candidate pruning would
+	// skip is kept, so each level's validity state, skip counts and
+	// reported dependencies are the pruned run's; the walk just goes on
+	// past the level where the pruned run stops. Used to measure the
+	// pruning benefit the paper's Exp-5 relies on, and as the oracle of the
+	// pruning tests.
 	DisablePruning bool
 	// Bidirectional additionally searches mixed-direction order
 	// compatibilities X: A ∼ B↓ (A ascending, B descending), after the

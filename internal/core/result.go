@@ -106,6 +106,11 @@ type Stats struct {
 	OCSkippedMinimality, OCSkippedConstancy int
 	// OFDSkipped counts OFD candidates skipped by minimality propagation.
 	OFDSkipped int
+	// OCSkippedFD and OFDSkippedFD count candidates skipped because their
+	// context X holds an exact FD X\{c} → c, so that the same candidate
+	// over X\{c} already decided them (checked after minimality and
+	// constancy, so no candidate counts twice).
+	OCSkippedFD, OFDSkippedFD int
 	// OCsFound / OFDsFound per lattice level (index = level).
 	OCsFoundPerLevel, OFDsFoundPerLevel []int
 	// ValidationTime is the wall-clock time of each node task from its

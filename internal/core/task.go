@@ -38,6 +38,16 @@ type NodeTask struct {
 	// plain integers.
 	OCValid     []uint64 `json:"ocValid,omitempty"`
 	OCValidDesc []uint64 `json:"ocValidDesc,omitempty"`
+	// FDContexts marks the attributes d whose OFD context Set\{d} holds an
+	// exact FD (the node's lattice.Node.FDParents): that context's
+	// partition equals a subset's, so a candidate one level down already
+	// decided the OFD and the task skips it.
+	FDContexts uint64 `json:"fdContexts,omitempty"`
+	// ParentFDContexts holds each parent's FDContexts, indexed like
+	// ParentConst: bit a of ParentFDContexts[j] marks that the OC context
+	// Set\{a, j-th attribute} holds an exact FD, skipping the OCs over it.
+	// Empty when no parent has such a bit.
+	ParentFDContexts []uint64 `json:"parentFDContexts,omitempty"`
 }
 
 // TaskOC is one order compatibility verified while executing a task,
@@ -72,6 +82,8 @@ type TaskStats struct {
 	OCSkippedMinimality int           `json:"ocSkippedMinimality,omitempty"`
 	OCSkippedConstancy  int           `json:"ocSkippedConstancy,omitempty"`
 	OFDSkipped          int           `json:"ofdSkipped,omitempty"`
+	OCSkippedFD         int           `json:"ocSkippedFD,omitempty"`
+	OFDSkippedFD        int           `json:"ofdSkippedFD,omitempty"`
 	ValidationTime      time.Duration `json:"validationNs,omitempty"`
 	PartitionTime       time.Duration `json:"partitionNs,omitempty"`
 }
@@ -83,6 +95,8 @@ func (ts *TaskStats) addTo(s *Stats) {
 	s.OCSkippedMinimality += ts.OCSkippedMinimality
 	s.OCSkippedConstancy += ts.OCSkippedConstancy
 	s.OFDSkipped += ts.OFDSkipped
+	s.OCSkippedFD += ts.OCSkippedFD
+	s.OFDSkippedFD += ts.OFDSkippedFD
 	s.ValidationTime += ts.ValidationTime
 	s.PartitionTime += ts.PartitionTime
 }
@@ -97,7 +111,11 @@ type NodeResult struct {
 	// currency of the level-wise framework).
 	Candidates int `json:"candidates"`
 	// NewConst marks attributes whose OFD was verified valid at this node.
-	NewConst uint64    `json:"newConst,omitempty"`
+	NewConst uint64 `json:"newConst,omitempty"`
+	// NewExact marks the attributes of NewConst whose OFD holds with zero
+	// removals: exact FDs, which feed the node's ExactConst whatever
+	// IncludeOFDs says.
+	NewExact uint64    `json:"newExact,omitempty"`
 	OCs      []TaskOC  `json:"ocs,omitempty"`
 	OFDs     []TaskOFD `json:"ofds,omitempty"`
 	Stats    TaskStats `json:"stats"`
@@ -109,6 +127,7 @@ type NodeResult struct {
 func (nr *NodeResult) reset() {
 	nr.Candidates = 0
 	nr.NewConst = 0
+	nr.NewExact = 0
 	nr.OCs = nr.OCs[:0]
 	nr.OFDs = nr.OFDs[:0]
 	nr.Stats = TaskStats{}
@@ -123,23 +142,32 @@ var (
 // buildTask propagates validity state from the parents into the node (the
 // coordinator-side half of node processing, which needs the whole previous
 // level) and captures the node's work unit in task, reusing its ParentConst
-// capacity. The task's pair-set words alias the node's sets — free locally,
-// copied only by serialization.
+// and ParentFDContexts capacity; ParentFDContexts stays empty, allocating
+// nothing, unless a parent has an FD context. The task's pair-set words alias
+// the node's sets — free locally, copied only by serialization.
 func buildTask(task *NodeTask, node *lattice.Node, parents *lattice.Level, numAttrs int, bidirectional bool) {
 	if bidirectional && node.OCValidDesc == nil {
 		node.OCValidDesc = lattice.NewPairSet(numAttrs)
 	}
 	*task = NodeTask{
-		Set:         uint64(node.Set),
-		Level:       node.Level,
-		ParentConst: append(task.ParentConst[:0], make([]uint64, node.Level)...),
+		Set:              uint64(node.Set),
+		Level:            node.Level,
+		ParentConst:      append(task.ParentConst[:0], make([]uint64, node.Level)...),
+		ParentFDContexts: task.ParentFDContexts[:0],
 	}
-	var propagated lattice.AttrSet
+	var propagated, exact, fdParents, anyParentFD lattice.AttrSet
+	var parentFD [lattice.MaxAttrs]uint64
 	i := 0
 	node.Set.ForEach(func(c int) {
 		if p := parents.Lookup(node.Set.Remove(c)); p != nil {
 			task.ParentConst[i] = uint64(p.ConstValid)
 			propagated = propagated.Union(p.ConstValid)
+			exact = exact.Union(p.ExactConst)
+			if p.ExactConst != 0 {
+				fdParents = fdParents.Add(c)
+			}
+			parentFD[i] = uint64(p.FDParents)
+			anyParentFD = anyParentFD.Union(p.FDParents)
 			node.OCValid.UnionWith(p.OCValid)
 			if node.OCValidDesc != nil && p.OCValidDesc != nil {
 				node.OCValidDesc.UnionWith(p.OCValidDesc)
@@ -148,7 +176,13 @@ func buildTask(task *NodeTask, node *lattice.Node, parents *lattice.Level, numAt
 		i++
 	})
 	node.ConstValid = propagated
+	node.ExactConst = exact
+	node.FDParents = fdParents
 	task.ConstValid = uint64(propagated)
+	task.FDContexts = uint64(fdParents)
+	if anyParentFD != 0 {
+		task.ParentFDContexts = append(task.ParentFDContexts, parentFD[:node.Level]...)
+	}
 	task.OCValid = node.OCValid.Words()
 	if node.OCValidDesc != nil {
 		task.OCValidDesc = node.OCValidDesc.Words()
@@ -165,10 +199,17 @@ func buildTask(task *NodeTask, node *lattice.Node, parents *lattice.Level, numAt
 // unit location-transparent: the same code runs under the serial executor,
 // the pool workers, and a remote shard's TaskRunner.
 //
-// A candidate that pruning skips is still validated under the pruning
-// ablation (DisablePruning), which measures its cost but keeps no verdict.
-// Cancellation is polled right before each validation, never on a skipped
-// candidate, so a task that starts after cancellation validates nothing.
+// Pruning skips a candidate that is valid in a sub-context (minimality), an
+// OC with a side constant in its context (constancy), and, checked last, a
+// candidate whose context X holds an exact FD X\{c} → c (FDContexts and
+// ParentFDContexts): there Π_X = Π_{X\{c}}, so the same candidate over
+// X\{c}, one level down, has the same error. Had it held there, minimality
+// or constancy would skip this one, so this one fails too (see the package
+// comment). A candidate that pruning skips is still validated under the
+// pruning ablation (DisablePruning), which measures its cost but keeps no
+// verdict. Cancellation is polled right before each validation, never on a
+// skipped candidate, so a task that starts after cancellation validates
+// nothing, and a skipped candidate never reads its context partition.
 //
 // The clock is read when the task reaches its first candidate to validate
 // and when it ends, and everything in between but the partition time the
@@ -189,19 +230,26 @@ func (e *engine) examine(task *NodeTask, nr *NodeResult, start *time.Time) {
 	st := &nr.Stats
 	set := lattice.AttrSet(task.Set)
 	propagatedConst := lattice.AttrSet(task.ConstValid)
+	fdContexts := lattice.AttrSet(task.FDContexts)
 	var buf [lattice.MaxAttrs]int
 	attrs := set.AppendAttrs(buf[:0])
 
 	// --- OFD candidates. -------------------------------------------------
 	for _, d := range attrs {
-		// A strict sub-context already has a valid OFD for d: any OFD here
-		// is valid but non-minimal.
-		skip := propagatedConst.Has(d)
-		if skip {
+		skip := true
+		switch {
+		case propagatedConst.Has(d):
+			// A strict sub-context already has a valid OFD for d: any OFD
+			// here is valid but non-minimal.
 			st.OFDSkipped++
-			if !e.t.cfg.DisablePruning {
-				continue
-			}
+		case fdContexts.Has(d):
+			// The context equals a subset's, where the OFD failed.
+			st.OFDSkippedFD++
+		default:
+			skip = false
+		}
+		if skip && !e.t.cfg.DisablePruning {
+			continue
 		}
 		if e.aborted() {
 			return
@@ -217,6 +265,9 @@ func (e *engine) examine(task *NodeTask, nr *NodeResult, start *time.Time) {
 			continue
 		}
 		nr.NewConst |= 1 << uint(d)
+		if r.Removals == 0 {
+			nr.NewExact |= 1 << uint(d)
+		}
 		if e.t.cfg.IncludeOFDs {
 			ofd := TaskOFD{A: d, Error: r.Error, Removals: r.Removals}
 			if e.t.cfg.CollectRemovalSets {
@@ -259,6 +310,11 @@ func (e *engine) examine(task *NodeTask, nr *NodeResult, start *time.Time) {
 					// never minimal.
 					st.OCSkippedConstancy++
 					skip = true
+				} else if lattice.AttrSet(parentWord(task.ParentFDContexts, j)).Has(a) {
+					// The context Set\{a,b} equals a subset's, where
+					// the OC failed.
+					st.OCSkippedFD++
+					skip = true
 				}
 				if skip && !e.t.cfg.DisablePruning {
 					continue
@@ -287,6 +343,15 @@ func (e *engine) examine(task *NodeTask, nr *NodeResult, start *time.Time) {
 	}
 }
 
+// parentWord returns words[i], or 0 past the end: a task whose parents hold
+// no FD context carries no ParentFDContexts words.
+func parentWord(words []uint64, i int) uint64 {
+	if i < len(words) {
+		return words[i]
+	}
+	return 0
+}
+
 // applyTask folds a task's result into the node's validity state and the
 // run's result and stats. Called in deterministic node order by every
 // executor, it is the single place discovered dependencies enter a Result —
@@ -296,6 +361,7 @@ func (t *traversal) applyTask(node *lattice.Node, task *NodeTask, nr *NodeResult
 	st.NodesProcessed++
 	nr.Stats.addTo(st)
 	node.ConstValid = lattice.AttrSet(task.ConstValid | nr.NewConst)
+	node.ExactConst |= lattice.AttrSet(nr.NewExact)
 	st.OFDsFoundPerLevel[node.Level] += bits.OnesCount64(nr.NewConst)
 	set := lattice.AttrSet(task.Set)
 	for i := range nr.OFDs {

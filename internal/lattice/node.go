@@ -7,11 +7,17 @@ import "math/bits"
 //
 //   - ConstValid: attributes D ∈ Set such that the approximate OFD
 //     (Set\{D}): [] ↦ D is valid (error ≤ ε). It is complete — propagation by
-//     monotonicity plus on-node validation covers every D — which is what
-//     lets superset nodes prune both non-minimal OFDs and constancy-trivial
-//     OCs exactly.
+//     monotonicity plus on-node validation covers every D, and an OFD skipped
+//     because its context holds an exact FD is invalid — which is what lets
+//     superset nodes prune both non-minimal OFDs and constancy-trivial OCs
+//     exactly.
 //   - OCValid: unordered pairs {A,B} ⊆ Set such that the approximate OC
 //     Y: A ∼ B is valid for some context Y ⊆ Set\{A,B}.
+//   - ExactConst: attributes c ∈ Set with an exact FD Set\{c} → c, so that
+//     Π_Set = Π_{Set\{c}}. Under an approximate validator it misses the
+//     exact FDs whose OFD candidate minimality skipped; it never holds a
+//     wrong one, and it is upward-closed: c ∈ ExactConst of a subset puts c
+//     in every superset's.
 //
 // Nodes carry no partitions: the traversal reads context partitions from a
 // partition.Memo keyed by the same attribute-set bitmask.
@@ -28,6 +34,12 @@ type Node struct {
 	// mixed-direction OC (A ascending, B descending) in some sub-context.
 	// Allocated only when bidirectional discovery is enabled.
 	OCValidDesc *PairSet
+	// ExactConst marks attrs c with an exact FD Set\{c} → c.
+	ExactConst AttrSet
+	// FDParents marks attrs c whose parent Set\{c} has a non-empty
+	// ExactConst: the OFD candidate (Set\{c}): [] ↦ c reads a context that
+	// equals one of its own subsets.
+	FDParents AttrSet
 }
 
 // Level is one stratum of the lattice: all nodes whose sets share a

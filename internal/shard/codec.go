@@ -1,4 +1,4 @@
-// Binary codec for shard protocol v4 payload frames.
+// Binary codec for shard protocol v6 payload frames.
 //
 // The handshake frames (hello/ack) stay JSON — that is what makes version
 // skew detectable across protocol generations (see protocol.go) — but every
@@ -6,7 +6,7 @@
 //
 //	byte 0   binMagic (0xB2; never '{', so JSON and binary frames are
 //	         distinguishable from the first byte)
-//	byte 1   protocol version (4)
+//	byte 1   protocol version (6)
 //	byte 2   frame type (binDataset | binLevel | binResult)
 //	...      payload
 //
@@ -236,6 +236,11 @@ func encodeLevelPayload(b []byte, m *levelMsg) []byte {
 		for _, w := range t.OCValidDesc {
 			b = appendUvarint(b, w)
 		}
+		b = appendUvarint(b, t.FDContexts)
+		b = appendUvarint(b, uint64(len(t.ParentFDContexts)))
+		for _, w := range t.ParentFDContexts {
+			b = appendUvarint(b, w)
+		}
 	}
 	return b
 }
@@ -294,6 +299,12 @@ func decodeTasks(r *wireReader) ([]core.NodeTask, error) {
 		if t.OCValidDesc, err = r.uvarints(maxWireAttrs); err != nil {
 			return nil, err
 		}
+		if t.FDContexts, err = r.uvarint(); err != nil {
+			return nil, err
+		}
+		if t.ParentFDContexts, err = r.uvarints(maxWireAttrs); err != nil {
+			return nil, err
+		}
 	}
 	return tasks, nil
 }
@@ -307,6 +318,7 @@ func encodeResultPayload(b []byte, m *resultMsg) ([]byte, error) {
 		nr := &m.Results[i]
 		b = appendUvarint(b, uint64(nr.Candidates))
 		b = appendUvarint(b, nr.NewConst)
+		b = appendUvarint(b, nr.NewExact)
 		b = appendUvarint(b, uint64(len(nr.OCs)))
 		for j := range nr.OCs {
 			oc := &nr.OCs[j]
@@ -335,6 +347,8 @@ func encodeResultPayload(b []byte, m *resultMsg) ([]byte, error) {
 		b = appendUvarint(b, uint64(st.OCSkippedMinimality))
 		b = appendUvarint(b, uint64(st.OCSkippedConstancy))
 		b = appendUvarint(b, uint64(st.OFDSkipped))
+		b = appendUvarint(b, uint64(st.OCSkippedFD))
+		b = appendUvarint(b, uint64(st.OFDSkippedFD))
 		b = appendUvarint(b, uint64(st.ValidationTime))
 		b = appendUvarint(b, uint64(st.PartitionTime))
 	}
@@ -376,6 +390,9 @@ func decodeResultPayload(r *wireReader) (*resultMsg, error) {
 		}
 		nr.Candidates = int(cand)
 		if nr.NewConst, err = r.uvarint(); err != nil {
+			return nil, err
+		}
+		if nr.NewExact, err = r.uvarint(); err != nil {
 			return nil, err
 		}
 		nocs, err := r.count(12) // a/b/desc/error8/removals at minimum
@@ -435,8 +452,8 @@ func decodeResultPayload(r *wireReader) (*resultMsg, error) {
 			}
 		}
 		st := &nr.Stats
-		ints := [5]*int{&st.OCCandidates, &st.OFDCandidates, &st.OCSkippedMinimality,
-			&st.OCSkippedConstancy, &st.OFDSkipped}
+		ints := [...]*int{&st.OCCandidates, &st.OFDCandidates, &st.OCSkippedMinimality,
+			&st.OCSkippedConstancy, &st.OFDSkipped, &st.OCSkippedFD, &st.OFDSkippedFD}
 		for _, p := range ints {
 			v, err := r.uvarint()
 			if err != nil {

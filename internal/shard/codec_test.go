@@ -10,11 +10,13 @@ import (
 	"aod/internal/gen"
 )
 
-// TestDatasetFrameBytesUnchanged pins the protocol-5 dataset frame byte for
-// byte: the frame now carries package dataset's columnar encoding, and
-// these are the lengths and SHA-256 digests of the frames the protocol
-// shipped before that move, over the one-, two- and four-byte rank widths
-// and every column kind (NaN, -0, +Inf, "\r\n", invalid UTF-8).
+// TestDatasetFrameBytesUnchanged pins the dataset frame byte for byte: its
+// three-byte header (magic, protocol version, frame type), and after it the
+// columnar payload of package dataset. The payload digests are the lengths
+// and SHA-256 digests of what the protocol shipped after the header before
+// the frame carried that encoding, and what protocol 5 shipped; only the
+// version byte changed since. The tables cover the one-, two- and four-byte
+// rank widths and every column kind (NaN, -0, +Inf, "\r\n", invalid UTF-8).
 func TestDatasetFrameBytesUnchanged(t *testing.T) {
 	mixed, err := dataset.NewBuilder().
 		AddInts("i", []int64{math.MinInt64, -3, 0, 3, math.MaxInt64, 3}).
@@ -38,13 +40,18 @@ func TestDatasetFrameBytesUnchanged(t *testing.T) {
 		tbl    *dataset.Table
 		digest string
 	}{
-		{"mixed", mixed, "115 4375f3ab2e4efcedc02af69f5b2905847ffe279ed43ec614a1a066b54f7d7955"},
-		{"flight-2000x8", gen.Flight(gen.FlightConfig{Rows: 2000, Attrs: 8, Seed: 42}), "34666 f5c462dad579d0fc57e7028e79bd6b813d9f7d9558694db1d5446f28a4a8ec97"},
-		{"wide", wide, "350016 123b0aeeb7701d1f3e05230dcc371eaf5cb6d710674d24148dbf1fd4ea1dfb92"},
+		{"mixed", mixed, "112 d5aabc31f471534d0937dc8fdc56e73ddebbc940e5a144ba586d103c666a1768"},
+		{"flight-2000x8", gen.Flight(gen.FlightConfig{Rows: 2000, Attrs: 8, Seed: 42}), "34663 00305f07b065e4f40a7f2bbcdd4ad1a16e016199b8cc6d796bacfc9299e96d00"},
+		{"wide", wide, "350013 f35bfaf718ae0d900b5222c2bb4e15f6f1ba7bec25092e34693986767b39b8ee"},
 	} {
 		body := encodeBody(t, &frame{T: "dataset", Dataset: tc.tbl})
-		if got := fmt.Sprintf("%d %x", len(body), sha256.Sum256(body)); got != tc.digest {
-			t.Errorf("%s: dataset frame is %s, want %s", tc.name, got, tc.digest)
+		if len(body) < 3 || body[0] != binMagic || body[1] != protoVersion || body[2] != binDataset {
+			t.Fatalf("%s: dataset frame header is % x, want % x", tc.name, body[:min(3, len(body))],
+				[]byte{binMagic, protoVersion, binDataset})
+		}
+		payload := body[3:]
+		if got := fmt.Sprintf("%d %x", len(payload), sha256.Sum256(payload)); got != tc.digest {
+			t.Errorf("%s: dataset payload is %s, want %s", tc.name, got, tc.digest)
 		}
 		back, err := decodeFrame(body)
 		if err != nil {

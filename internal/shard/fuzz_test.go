@@ -50,6 +50,20 @@ func FuzzDecodeFrame(f *testing.F) {
 		Trace: "tr-1",
 		Tasks: []core.NodeTask{{Set: 6, Level: 2, ConstValid: 1, ParentConst: []uint64{3, 5}, OCValid: []uint64{9}, OCValidDesc: []uint64{4}}},
 	}}))
+	// A task and a result carrying the exact-FD skip state of protocol 6.
+	f.Add(encodeBody(f, &frame{T: "level", Level: &levelMsg{
+		Level: 3,
+		Tasks: []core.NodeTask{{Set: 14, Level: 3, ParentConst: []uint64{0, 4, 2}, OCValid: []uint64{1},
+			FDContexts: 8, ParentFDContexts: []uint64{0, 8, 4}}},
+	}}))
+	f.Add(encodeBody(f, &frame{T: "result", Result: &resultMsg{
+		Results: []core.NodeResult{{
+			Candidates: 1,
+			NewConst:   6,
+			NewExact:   2,
+			Stats:      core.TaskStats{OFDCandidates: 1, OFDSkipped: 1, OCSkippedFD: 2, OFDSkippedFD: 1},
+		}},
+	}}))
 	f.Add(encodeBody(f, &frame{T: "result", Result: &resultMsg{
 		Results: []core.NodeResult{{
 			Candidates: 2,
@@ -113,6 +127,10 @@ func FuzzDecodeTasks(f *testing.F) {
 	f.Add(enc([]core.NodeTask{
 		{Set: 6, Level: 2, ConstValid: 1, ParentConst: []uint64{3, 5}, OCValid: []uint64{9, 1}, OCValidDesc: []uint64{4}},
 		{Set: 12, Level: 2, ConstValid: 0, OCValid: []uint64{7}},
+	}))
+	f.Add(enc([]core.NodeTask{
+		{Set: 7, Level: 3, ParentConst: []uint64{0, 1, 0}, FDContexts: 5, ParentFDContexts: []uint64{2, 0, 1}},
+		{Set: 11, Level: 3, FDContexts: 1<<63 | 1},
 	}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // huge count
 	f.Add([]byte{1, 0})                                                       // truncated mid-task

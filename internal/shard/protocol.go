@@ -23,7 +23,7 @@
 //	  W → result (flat result records)
 //
 // Framing is a 4-byte big-endian length prefix followed by one frame body.
-// Protocol v4 uses two body encodings, distinguishable by the first byte:
+// Protocol v6 uses two body encodings, distinguishable by the first byte:
 //
 //   - hello and ack are JSON (body starts with '{'). Keeping the handshake
 //     JSON is what makes version skew an explicit rejection rather than a
@@ -31,7 +31,7 @@
 //     generation's hello, see a proto number it does not speak, and answer
 //     with a clear in-band ack error.
 //   - dataset, level, and result are compact binary (body starts with
-//     binMagic, 0xB2 — see codec.go), legal only after a successful v4
+//     binMagic, 0xB2 — see codec.go), legal only after a successful v6
 //     handshake.
 //
 // Errors are in-band (ack.error / result.error); transport failures surface
@@ -54,10 +54,12 @@ import (
 // worker as unusable. Version 2 replaced the JSON payload frames of v1 with
 // the binary codec in codec.go (columnar datasets, flat task/result records);
 // version 3 added a parts frame of coordinator-built context partitions,
-// version 4 removed it again (workers fold every partition they read), and
+// version 4 removed it again (workers fold every partition they read),
 // version 5 dropped the sampled-rejection counter from the result record's
-// stats fragment.
-const protoVersion = 5
+// stats fragment, and version 6 added the exact-FD skip state: each task
+// record carries FDContexts and ParentFDContexts, and each result record
+// NewExact and the OCSkippedFD/OFDSkippedFD counters.
+const protoVersion = 6
 
 // maxFrameBytes bounds a single frame (the dataset frame dominates; task and
 // result frames are small). Oversized frames poison the connection.
