@@ -19,7 +19,7 @@ func TestDiscoverContextPreCanceled(t *testing.T) {
 	tbl := randomTable(rng, 200, 5, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := DiscoverContext(ctx, tbl, Config{Threshold: 0.2})
+	res, err := Pipeline{}.Run(ctx, tbl, Config{Threshold: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestDiscoverContextCancelMidRun(t *testing.T) {
 		}
 	}
 	run("sequential", func(ctx context.Context) (*Result, error) {
-		return DiscoverContext(ctx, tbl, Config{Threshold: 0.4, Validator: ValidatorIterative})
+		return Pipeline{}.Run(ctx, tbl, Config{Threshold: 0.4, Validator: ValidatorIterative})
 	})
 	run("parallel", func(ctx context.Context) (*Result, error) {
 		return Pipeline{Executor: Pool(4)}.Run(ctx, tbl, Config{Threshold: 0.4, Validator: ValidatorIterative})
@@ -89,7 +89,7 @@ func TestDiscoverContextBackgroundMatchesDiscover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DiscoverContext(context.Background(), tbl, cfg)
+	got, err := Pipeline{}.Run(context.Background(), tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestTaskRunnerIgnoresTimeLimit(t *testing.T) {
 				OCValid: lattice.NewPairSet(tbl.NumCols()).Words()})
 		}
 	}
-	got, want := late.RunLevel(context.Background(), tasks), plain.RunLevel(context.Background(), tasks)
+	got, want := runLevel(t, late, context.Background(), tasks), runLevel(t, plain, context.Background(), tasks)
 	for i := range got {
 		if got[i].Candidates == 0 {
 			t.Fatalf("task %d (set %b) ran no candidates after the time limit passed", i, tasks[i].Set)
@@ -149,7 +149,7 @@ func TestTaskClockStartsAtFirstValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	words := lattice.NewPairSet(tbl.NumCols()).Words()
-	res := runner.RunLevel(context.Background(), []NodeTask{
+	res := runLevel(t, runner, context.Background(), []NodeTask{
 		// Both OFDs hold below and a is constant in the OC's context.
 		{Set: 0b11, Level: 2, ConstValid: 0b11, ParentConst: []uint64{0, 0b01}, OCValid: words},
 		{Set: 0b11, Level: 2, ParentConst: make([]uint64, 2), OCValid: words},
@@ -216,12 +216,12 @@ func TestCancelBeforeTaskValidatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.RunLevel(context.Background(), []NodeTask{task}); got[0].Candidates != cols+cols*(cols-1)/2 {
+	if got := runLevel(t, r, context.Background(), []NodeTask{task}); got[0].Candidates != cols+cols*(cols-1)/2 {
 		t.Fatalf("live runner validated %d candidates, want %d", got[0].Candidates, cols+cols*(cols-1)/2)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i, nr := range r.RunLevel(ctx, []NodeTask{task, task}) {
+	for i, nr := range runLevel(t, r, ctx, []NodeTask{task, task}) {
 		if nr.Candidates != 0 {
 			t.Errorf("runner: task %d validated %d candidates under a canceled context", i, nr.Candidates)
 		}

@@ -12,21 +12,10 @@ import (
 // Discover runs the level-wise discovery framework over the table and
 // returns the complete, minimal set of verified dependencies under the
 // configured validator and threshold (see the package comment for the exact
-// semantics and caveats of the iterative validator).
+// semantics and caveats of the iterative validator). It is the serial
+// Pipeline without cancellation; Pipeline.Run takes a context.
 func Discover(tbl *dataset.Table, cfg Config) (*Result, error) {
-	return DiscoverContext(context.Background(), tbl, cfg)
-}
-
-// DiscoverContext is Discover with cooperative cancellation: the context's
-// done channel is polled right before each candidate validation, so a
-// canceled run validates no further candidate and stops within one
-// validation's latency instead of finishing the lattice. On cancellation the
-// partial result is returned with Stats.Canceled set and a nil error — the
-// same contract as a TimeLimit abort (callers that need the distinction can
-// inspect ctx.Err()). It is the serial-executor instantiation of the shared
-// Pipeline.
-func DiscoverContext(ctx context.Context, tbl *dataset.Table, cfg Config) (*Result, error) {
-	return Pipeline{}.Run(ctx, tbl, cfg)
+	return Pipeline{}.Run(context.Background(), tbl, cfg)
 }
 
 // engine is the task-execution stage shared by every executor: it examines

@@ -126,7 +126,7 @@ type Stats struct {
 	TotalTime time.Duration
 	// TimedOut reports that Config.TimeLimit aborted the run.
 	TimedOut bool
-	// Canceled reports that the context passed to DiscoverContext was
+	// Canceled reports that the context passed to Pipeline.Run was
 	// canceled mid-run (results are partial, like TimedOut).
 	Canceled bool
 	// EarlyStopped reports that a candidate-free level ended the run before

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"aod/internal/dataset"
@@ -77,8 +78,7 @@ func (p *PreparedTable) NewTaskRunner(cfg Config) (*TaskRunner, error) {
 }
 
 // PartitionCacheStats returns the runner's partition-memo hit and build
-// counts so far (hits include generation carry-overs; builds count splits
-// and aliases alike).
+// counts so far (hits include generation carry-overs; builds count splits).
 func (r *TaskRunner) PartitionCacheStats() (hits, builds uint64) {
 	return r.t.memo.Stats()
 }
@@ -87,7 +87,15 @@ func (r *TaskRunner) PartitionCacheStats() (hits, builds uint64) {
 // bounds the work: when it is canceled (the coordinator gave up on this
 // shard), the remaining tasks are skipped and the partial results are
 // returned — the coordinator discards them and re-runs the slice elsewhere.
-func (r *TaskRunner) RunLevel(ctx context.Context, tasks []NodeTask) []NodeResult {
+// Tasks arrive from another process, so a slice holding a task that does not
+// fit the table (NodeTask.check) is refused whole with an error, and the
+// runner's state is left as it was.
+func (r *TaskRunner) RunLevel(ctx context.Context, tasks []NodeTask) ([]NodeResult, error) {
+	for i := range tasks {
+		if err := tasks[i].check(r.t.numAttrs); err != nil {
+			return nil, fmt.Errorf("task %d: %w", i, err)
+		}
+	}
 	r.t.watch(ctx)
 	r.t.memo.Rotate()
 	out := make([]NodeResult, len(tasks))
@@ -97,5 +105,5 @@ func (r *TaskRunner) RunLevel(ctx context.Context, tasks []NodeTask) []NodeResul
 		}
 		r.eng.execTask(&tasks[i], &out[i])
 	}
-	return out
+	return out, nil
 }

@@ -237,7 +237,7 @@ func TestTaskRunnerTakesSortedScanRoute(t *testing.T) {
 			tasks = append(tasks, NodeTask{Set: set, Level: level, ParentConst: make([]uint64, level),
 				OCValid: lattice.NewPairSet(numAttrs).Words(), OCValidDesc: lattice.NewPairSet(numAttrs).Words()})
 		}
-		got, want := scan.RunLevel(context.Background(), tasks), sorted.RunLevel(context.Background(), tasks)
+		got, want := runLevel(t, scan, context.Background(), tasks), runLevel(t, sorted, context.Background(), tasks)
 		for i := range want {
 			got[i].Stats, want[i].Stats = TaskStats{}, TaskStats{}
 		}

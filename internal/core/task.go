@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"time"
 
@@ -48,6 +49,26 @@ type NodeTask struct {
 	// Set\{a, j-th attribute} holds an exact FD, skipping the OCs over it.
 	// Empty when no parent has such a bit.
 	ParentFDContexts []uint64 `json:"parentFDContexts,omitempty"`
+}
+
+// check reports a task that does not fit a table of numAttrs columns: its
+// set names a column outside the table, its level is not the set's size, or
+// its per-parent words do not come one per attribute of the set. examine
+// indexes the table by the set's attributes and ParentConst by their
+// positions, so such a task would panic it.
+func (t *NodeTask) check(numAttrs int) error {
+	n := bits.OnesCount64(t.Set)
+	switch {
+	case t.Set>>uint(numAttrs) != 0:
+		return fmt.Errorf("set %#x names a column outside the table's %d", t.Set, numAttrs)
+	case t.Level != n:
+		return fmt.Errorf("level %d for a set of %d attributes", t.Level, n)
+	case len(t.ParentConst) != n:
+		return fmt.Errorf("%d ParentConst words for a set of %d attributes", len(t.ParentConst), n)
+	case len(t.ParentFDContexts) != 0 && len(t.ParentFDContexts) != n:
+		return fmt.Errorf("%d ParentFDContexts words for a set of %d attributes", len(t.ParentFDContexts), n)
+	}
+	return nil
 }
 
 // TaskOC is one order compatibility verified while executing a task,

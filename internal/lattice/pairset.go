@@ -67,19 +67,6 @@ func (p *PairSet) UnionWith(q *PairSet) {
 // and callers must treat it as read-only unless they own the set.
 func (p *PairSet) Words() []uint64 { return p.bits }
 
-// PairSetOf wraps existing bit words as a PairSet without copying. Words
-// shorter than the schema requires are padded (copied) so Add stays in
-// bounds; the common full-length case shares the slice.
-func PairSetOf(numAttrs int, words []uint64) *PairSet {
-	need := (NumPairs(numAttrs) + 63) / 64
-	if len(words) < need {
-		padded := make([]uint64, need)
-		copy(padded, words)
-		words = padded
-	}
-	return &PairSet{bits: words, numAttrs: numAttrs}
-}
-
 // PairHas reports whether the pair {a,b} is present in raw pair-set words
 // (see Words), without constructing a PairSet. Words beyond the slice are
 // treated as zero, so truncated (omitempty-serialized) word slices read

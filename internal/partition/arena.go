@@ -124,24 +124,12 @@ func NewArenaLimit(maxBytes int64) *Arena {
 }
 
 // Split computes p.SplitBy(col) into a partition drawn from the arena, using
-// pooled scratch, and copies nothing when the split would leave p unchanged:
-// when col is constant on every class of p — the partition identity
-// Π_{X∪{c}} = Π_X of an exact OFD X: [] ↦ c — it returns p itself and draws
-// nothing from the arena. A read-only pass finds the first class col divides;
-// the classes before it survive whole, so they are copied as one block and
-// the split proper resumes at that class. The result is byte-identical to
-// SplitInto's either way. A split result must be returned with Recycle once
-// unreferenced for the arena to reuse its buffers; a caller that gets p back
-// holds one partition under two names and must not recycle it while either
-// is in use.
+// pooled scratch: SplitInto's output, byte for byte, and never p itself,
+// even when col divides no class of p. A split result must be returned with
+// Recycle once unreferenced for the arena to reuse its buffers.
 func (a *Arena) Split(p *Stripped, col *dataset.Column) *Stripped {
-	p.checkSplit(col)
-	first := p.constantPrefix(col.Ranks())
-	if first == p.NumClasses() {
-		return p
-	}
 	s := a.GetScratch()
-	out := p.splitFrom(first, col, s, a.GetStripped())
+	out := p.SplitInto(col, s, a.GetStripped())
 	a.PutScratch(s)
 	return out
 }

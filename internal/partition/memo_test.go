@@ -62,66 +62,6 @@ func TestMemoConcurrentReadersBuildEachSetOnce(t *testing.T) {
 	}
 }
 
-// TestMemoAliasedSplitOutlivesItsTwin builds a set whose split leaves its
-// base unchanged, so the set's slot and its base's slot hold one partition,
-// and then drops one slot, the other or both at a rotation. Whatever
-// survives must keep its classes while later splits draw buffers from the
-// arena; a bounded arena makes that reuse deterministic (last in, first
-// out), so a partition recycled while a slot still held it would be
-// overwritten by the next split.
-func TestMemoAliasedSplitOutlivesItsTwin(t *testing.T) {
-	rng := rand.New(rand.NewSource(85))
-	const rows = 300
-	c, x, y := make([]int64, rows), make([]int64, rows), make([]int64, rows)
-	for i := range x {
-		x[i], y[i] = int64(rng.Intn(6)), int64(rng.Intn(6))
-		c[i] = x[i] / 2 // x determines c, so c divides no class of Π_{x,y}
-	}
-	tbl := mustTable(t, map[string][]int64{"c": c, "x": x, "y": y}, []string{"c", "x", "y"})
-	const base, set = 0b110, 0b111 // Π_{x,y} = Π_y.SplitBy(x); Π_{c,x,y} = Π_{x,y}.SplitBy(c)
-	wantBase := Single(tbl.Column(2)).SplitBy(tbl.Column(1))
-	wantSet := wantBase.SplitBy(tbl.Column(0))
-	if !sameLayout(wantSet, wantBase) || sameLayout(wantBase, Single(tbl.Column(2))) {
-		t.Fatal("the table must leave the set's split a copy of its base and divide the base's own")
-	}
-	for _, keep := range []string{"set", "base", "neither"} {
-		memo := NewMemo(tbl, nil, NewArenaLimit(1<<20))
-		memo.Rotate()
-		if memo.Get(base, nil) != memo.Get(set, nil) {
-			t.Fatalf("keep %s: the set's split copied its unchanged base", keep)
-		}
-		// Two rotations drop every slot not read in between.
-		for r := 0; r < 2; r++ {
-			memo.Rotate()
-			switch keep {
-			case "set":
-				memo.Get(set, nil)
-			case "base":
-				memo.Get(base, nil)
-			}
-		}
-		// Splits that draw from the arena: a recycled twin would be handed
-		// to them, and two recycles of it to both.
-		other := []*Stripped{
-			memo.arena.Split(Single(tbl.Column(0)), tbl.Column(2)),
-			memo.arena.Split(Single(tbl.Column(1)), tbl.Column(2)),
-		}
-		if want := Single(tbl.Column(0)).SplitBy(tbl.Column(2)); !sameLayout(other[0], want) {
-			t.Errorf("keep %s: a later split lost its classes to another: %v, want %v", keep, other[0], want)
-		}
-		switch keep {
-		case "set":
-			if got := memo.Get(set, nil); !sameLayout(got, wantSet) {
-				t.Errorf("keep set: the set's partition changed to %v, want %v", got, wantSet)
-			}
-		case "base":
-			if got := memo.Get(base, nil); !sameLayout(got, wantBase) {
-				t.Errorf("keep base: the base's partition changed to %v, want %v", got, wantBase)
-			}
-		}
-	}
-}
-
 // chainOf returns Π_set by the plain recursive split chain
 // Π_S = Π_{S∖{min S}}.SplitBy(min S), memoized in chain.
 func chainOf(tbl *dataset.Table, chain map[uint64]*Stripped, set uint64) *Stripped {
@@ -141,64 +81,11 @@ func chainOf(tbl *dataset.Table, chain map[uint64]*Stripped, set uint64) *Stripp
 	return p
 }
 
-// derivedTable returns columns l, c and x (indexes 0, 1, 2) with c = x/2, so
-// the exact dependency x → c holds with its right-hand side below its
-// left-hand side, and l divides the classes of Π_{c,x}.
-func derivedTable(t *testing.T) *dataset.Table {
-	rng := rand.New(rand.NewSource(21))
-	const rows = 300
-	l, c, x := make([]int64, rows), make([]int64, rows), make([]int64, rows)
-	for i := range x {
-		l[i], x[i] = int64(rng.Intn(5)), int64(rng.Intn(8))
-		c[i] = x[i] / 2
-	}
-	return mustTable(t, map[string][]int64{"l": l, "c": c, "x": x}, []string{"l", "c", "x"})
-}
-
-// TestMemoLearnedDependencyAliasesAboveTheLowestAttribute builds Π_{c,x},
-// whose split leaves Π_x whole and so proves x → c, and then reads
-// S = {l,c,x}. Its split chain would split Π_{c,x} by l, a split that
-// divides classes; from the next rotation on, the memo serves S as
-// Π_{S∖{c}} = Π_{l,x} itself, byte-identical to the chain, with one build
-// and no split. Before that rotation it still splits.
-func TestMemoLearnedDependencyAliasesAboveTheLowestAttribute(t *testing.T) {
-	tbl := derivedTable(t)
-	const cx, lx, set = 0b110, 0b101, 0b111
-	chain := map[uint64]*Stripped{}
-	if !sameLayout(chainOf(tbl, chain, cx), chainOf(tbl, chain, 0b100)) ||
-		sameLayout(chainOf(tbl, chain, set), chainOf(tbl, chain, cx)) {
-		t.Fatal("the table must leave Π_{c,x} equal to Π_x and let l divide it")
-	}
-	for _, rotate := range []bool{false, true} {
-		memo := NewMemo(tbl, nil, nil)
-		memo.Get(cx, nil)
-		if rotate {
-			memo.Rotate()
-		}
-		twin := memo.Get(lx, nil)
-		_, before := memo.Stats()
-		got := memo.Get(set, nil)
-		_, after := memo.Stats()
-		if !sameLayout(got, chainOf(tbl, chain, set)) {
-			t.Fatalf("rotate %v: Π_S = %v, want the split chain's %v", rotate, got, chainOf(tbl, chain, set))
-		}
-		if after-before != 1 {
-			t.Errorf("rotate %v: reading S built %d partitions, want 1", rotate, after-before)
-		}
-		if rotate && got != twin {
-			t.Error("after a rotation, S was split instead of taking Π_{l,x}")
-		}
-		if !rotate && got == twin {
-			t.Error("a dependency took effect before the next rotation")
-		}
-	}
-}
-
 // TestMemoKeepsClassOrderWhenTheDependencyReachesBelow reads every set of a
 // table where a → c holds with a below c. Π_{a,c,b} and Π_{a,b} then hold
-// the same classes in different orders, so aliasing one to the other would
-// reorder removal rows; the memo never learns that dependency from its own
-// splits, and every set keeps the split chain's bytes.
+// the same classes in different orders, so serving one for the other would
+// reorder removal rows: every set, read again after its slot was dropped,
+// must keep the split chain's bytes.
 func TestMemoKeepsClassOrderWhenTheDependencyReachesBelow(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const rows = 200
@@ -217,7 +104,7 @@ func TestMemoKeepsClassOrderWhenTheDependencyReachesBelow(t *testing.T) {
 	memo := NewMemo(tbl, nil, nil)
 	for round := 0; round < 3; round++ {
 		// Two rotations without a read drop every set, so each round
-		// builds them all again with what the memo has learned so far.
+		// builds them all again from recycled buffers.
 		memo.Rotate()
 		memo.Rotate()
 		for s := uint64(1); s < 1<<3; s++ {
@@ -228,58 +115,12 @@ func TestMemoKeepsClassOrderWhenTheDependencyReachesBelow(t *testing.T) {
 	}
 }
 
-// TestMemoLearnedAliasOutlivesItsTwin is TestMemoAliasedSplitOutlivesItsTwin
-// for a learned alias: S = {l,c,x} and Π_{l,x} share one partition through
-// the dependency x → c, and whichever slot survives a rotation keeps its
-// classes while later splits draw buffers from a bounded arena.
-func TestMemoLearnedAliasOutlivesItsTwin(t *testing.T) {
-	tbl := derivedTable(t)
-	const cx, lx, set = 0b110, 0b101, 0b111
-	want := chainOf(tbl, map[uint64]*Stripped{}, set)
-	for _, keep := range []string{"set", "twin", "neither"} {
-		memo := NewMemo(tbl, nil, NewArenaLimit(1<<20))
-		memo.Get(cx, nil)
-		memo.Rotate()
-		if memo.Get(lx, nil) != memo.Get(set, nil) {
-			t.Fatalf("keep %s: S does not share Π_{l,x}", keep)
-		}
-		for r := 0; r < 2; r++ {
-			memo.Rotate()
-			switch keep {
-			case "set":
-				memo.Get(set, nil)
-			case "twin":
-				memo.Get(lx, nil)
-			}
-		}
-		// A recycled twin would be handed to these splits, and two
-		// recycles of it to both.
-		other := memo.arena.Split(Single(tbl.Column(0)), tbl.Column(2))
-		memo.arena.Split(Single(tbl.Column(1)), tbl.Column(0))
-		if w := Single(tbl.Column(0)).SplitBy(tbl.Column(2)); !sameLayout(other, w) {
-			t.Errorf("keep %s: a later split lost its classes to another: %v, want %v", keep, other, w)
-		}
-		var got *Stripped
-		switch keep {
-		case "set":
-			got = memo.Get(set, nil)
-		case "twin":
-			got = memo.Get(lx, nil)
-		default:
-			continue
-		}
-		if !sameLayout(got, want) {
-			t.Errorf("keep %s: the surviving partition changed to %v, want %v", keep, got, want)
-		}
-	}
-}
-
 // fuzzTable decodes a table of 1–8 integer columns and 0–64 rows:
 // spec[0] picks the columns and spec[1] the rows; the next byte per column
 // gives its domain (1–16 values) or, with the top bit set, derives it as
 // v/d from another column (bits 0–2 the source, bits 3–4 d−1), so that
-// dependencies and no-op splits occur; the remaining bytes, cycled, are the
-// values.
+// exact dependencies and splits that divide no class occur; the remaining
+// bytes, cycled, are the values.
 func fuzzTable(t *testing.T, spec []byte) *dataset.Table {
 	if len(spec) < 2 {
 		return nil
@@ -325,11 +166,12 @@ func fuzzTable(t *testing.T, spec []byte) *dataset.Table {
 // buffers straight to the next split.
 func FuzzMemoMatchesSplitChain(f *testing.F) {
 	// Columns a, c, d with c = d/2, c below d: the split of Π_d by c
-	// proves d → c, and from the next rotation {a,c,d} takes Π_{a,d}.
+	// divides no class, and {a,c,d} holds the classes of Π_{a,d} in the
+	// same order, read across rotations.
 	f.Add([]byte{2, 40, 4, 0x8a, 7, 1, 5, 2, 6, 3, 4, 0, 7, 2, 5, 1, 3, 6},
 		[]byte{0, 0b110, 3, 0, 0, 0b101, 0, 0b111, 2, 0b111, 3, 0, 3, 0, 0, 0b111, 0, 0b101, 2, 0b101})
 	// Columns a, c, b with c = a/2, a below c: Π_{a,c,b} holds the classes
-	// of Π_{a,b} in another order, so no read may alias them.
+	// of Π_{a,b} in another order, so no read may return one for the other.
 	f.Add([]byte{2, 50, 5, 0x88, 2, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 7},
 		[]byte{0, 0b011, 0, 0b101, 0, 0b110, 0, 0b111, 3, 0, 3, 0, 3, 0, 0, 0b101, 0, 0b110, 0, 0b111, 2, 0b111, 3, 0, 3, 0, 3, 0, 0, 0b111})
 	// Eight columns, three of them derived, read across rotations.

@@ -44,9 +44,8 @@ type Stripped struct {
 	offsets []int32
 	// shared is the sharing seam: once set (Share), the partition is
 	// immutable — reset panics and Arena.Recycle refuses to reclaim the
-	// buffers — so cache-resident partitions handed to concurrent jobs, and
-	// a memo's partition held by two slots, can never be scribbled over by a
-	// later split. Accessed atomically.
+	// buffers — so cache-resident partitions handed to concurrent jobs can
+	// never be scribbled over by a later split. Accessed atomically.
 	shared uint32
 }
 
@@ -319,44 +318,14 @@ func (p *Stripped) SplitBy(col *dataset.Column) *Stripped {
 // product Π_{S∖{c₁}}·Π_{S∖{c₂}} from one parent. With warm scratch and a
 // previously used out, the call performs zero allocations. It returns out.
 func (p *Stripped) SplitInto(col *dataset.Column, s *ProductScratch, out *Stripped) *Stripped {
-	p.checkSplit(col)
-	return p.splitFrom(0, col, s, out)
-}
-
-// checkSplit panics unless col has one rank per row of p.
-func (p *Stripped) checkSplit(col *dataset.Column) {
 	if p.N != col.Len() {
 		panic(fmt.Sprintf("partition: split of a partition over %d rows by a column of %d", p.N, col.Len()))
 	}
-}
-
-// constantPrefix returns the index of the first class of p whose rows do not
-// all share one rank, or NumClasses when there is none. It only reads.
-func (p *Stripped) constantPrefix(ranks []int32) int {
-	for ci := 0; ci+1 < len(p.offsets); ci++ {
-		cls := p.rows[p.offsets[ci]:p.offsets[ci+1]]
-		r := ranks[cls[0]]
-		for _, row := range cls[1:] {
-			if ranks[row] != r {
-				return ci
-			}
-		}
-	}
-	return p.NumClasses()
-}
-
-// splitFrom is SplitInto for a p whose first `first` classes col leaves
-// whole: they are copied as they are and the split starts at class first.
-func (p *Stripped) splitFrom(first int, col *dataset.Column, s *ProductScratch, out *Stripped) *Stripped {
 	ranks := col.Ranks()
 	s.keySlots(col.NumDistinct())
 	out.reset(p.N, len(p.rows))
-	if first > 0 {
-		out.rows = append(out.rows, p.rows[:p.offsets[first]]...)
-		out.offsets = append(out.offsets, p.offsets[1:first+1]...)
-	}
 
-	for ci := first; ci+1 < len(p.offsets); ci++ {
+	for ci := 0; ci+1 < len(p.offsets); ci++ {
 		cls := p.rows[p.offsets[ci]:p.offsets[ci+1]]
 		if len(cls) == 2 {
 			// The commonest class deep in the lattice: it survives whole or

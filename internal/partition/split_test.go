@@ -172,16 +172,15 @@ func TestSplitKeepsParentClassOrder(t *testing.T) {
 }
 
 // TestArenaSplitMatchesSplitInto checks Arena.Split against SplitInto
-// over random bases and columns: the result is the base itself exactly when
-// SplitInto would copy the base unchanged, and otherwise byte-identical to
-// SplitInto's output. The shapes cover a column constant on every class, a
-// constant prefix of classes followed by one the column divides, bases of
-// two-row classes only, empty bases, and unconstrained columns. Outputs go
-// back to the arena, so later splits reuse buffers of other shapes.
+// over random bases and columns: the result is byte-identical to SplitInto's
+// output and never the base itself, even when the column divides no class.
+// The shapes cover a column constant on every class, a constant prefix of
+// classes followed by one the column divides, bases of two-row classes only,
+// empty bases, and unconstrained columns. Every output goes back to the
+// arena, so later splits reuse buffers of other shapes.
 func TestArenaSplitMatchesSplitInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	shapes := []string{"constant", "prefix", "two-row", "empty", "random"}
-	aliased := make(map[string]int)
 	var a Arena
 	var s ProductScratch
 	for iter := 0; iter < 5000; iter++ {
@@ -190,31 +189,14 @@ func TestArenaSplitMatchesSplitInto(t *testing.T) {
 		col := mustTable(t, map[string][]int64{"c": vals}, []string{"c"}).Column(0)
 		want := base.SplitInto(col, &s, &Stripped{})
 		got := a.Split(base, col)
-		if (got == base) != sameLayout(want, base) {
-			t.Fatalf("iter %d (%s): base %v, column %v: Split returned the base: %v, SplitInto left it unchanged: %v",
-				iter, shape, classes(base), vals, got == base, sameLayout(want, base))
+		if got == base {
+			t.Fatalf("iter %d (%s): base %v, column %v: Split returned its base", iter, shape, classes(base), vals)
 		}
 		if !sameLayout(got, want) {
 			t.Fatalf("iter %d (%s): base %v, column %v: Split %v, SplitInto %v",
 				iter, shape, classes(base), vals, classes(got), classes(want))
 		}
-		if got == base {
-			aliased[shape]++
-		} else {
-			a.Recycle(got)
-		}
-	}
-	per := 5000 / len(shapes)
-	for _, shape := range []string{"constant", "empty"} {
-		if aliased[shape] != per {
-			t.Errorf("%s: %d of %d splits returned the base, want all", shape, aliased[shape], per)
-		}
-	}
-	if aliased["prefix"] != 0 {
-		t.Errorf("prefix: %d splits returned the base though a class divides", aliased["prefix"])
-	}
-	if n := aliased["two-row"]; n == 0 || n == per {
-		t.Errorf("two-row: %d of %d splits returned the base, want some but not all", n, per)
+		a.Recycle(got)
 	}
 }
 

@@ -10,6 +10,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"aod/internal/core"
+	"aod/internal/dataset"
+	"aod/internal/gen"
 )
 
 // writeJSONFrame hand-rolls a length-prefixed JSON frame the way every
@@ -118,4 +122,44 @@ func TestVersionSkewBinaryFrameRejected(t *testing.T) {
 	if _, err := decodeFrame(body); err == nil || !strings.Contains(err.Error(), "protocol") {
 		t.Fatalf("decodeFrame accepted a version-skewed binary frame: %v", err)
 	}
+}
+
+// TestWorkerRefusesMalformedLevel sends a worker, after a valid handshake,
+// a level frame whose task does not fit the table: one with no ParentConst
+// words for its two attributes, and one naming column 9 of a 4-column table.
+// Either would index past a slice in the task runner. The worker must answer
+// with an error result frame and end the session instead of panicking,
+// which would kill an aodworker process, and must then serve the next
+// session.
+func TestWorkerRefusesMalformedLevel(t *testing.T) {
+	tbl := gen.Uniform(100, 4, 3, 7)
+	hello := &helloMsg{Proto: protoVersion, Fingerprint: dataset.Fingerprint(tbl),
+		Rows: tbl.NumRows(), Cols: tbl.NumCols(), Config: core.Config{Threshold: 0.1}}
+	w := NewWorker(WorkerOptions{})
+	session := func() (*workerClient, chan struct{}) {
+		client, server := net.Pipe()
+		done := make(chan struct{})
+		go func() { w.ServeConn(server); close(done) }()
+		c := &workerClient{addr: "pipe", conn: client, br: bufio.NewReader(client), bw: bufio.NewWriter(client)}
+		if err := c.handshake(context.Background(), 5*time.Second, hello, tbl); err != nil {
+			t.Fatal(err)
+		}
+		return c, done
+	}
+	for _, task := range []core.NodeTask{{Set: 3, Level: 2}, {Set: 1 << 9, Level: 1}} {
+		c, done := session()
+		_, err := c.runLevel(context.Background(), 5*time.Second, &levelMsg{Level: task.Level, Tasks: []core.NodeTask{task}})
+		if err == nil || !strings.Contains(err.Error(), "task 0") {
+			t.Errorf("task %+v: worker answered %v, want an error result naming the task", task, err)
+		}
+		<-done
+	}
+	c, done := session()
+	res, err := c.runLevel(context.Background(), 5*time.Second,
+		&levelMsg{Level: 2, Tasks: []core.NodeTask{{Set: 3, Level: 2, ParentConst: make([]uint64, 2)}}})
+	if err != nil || len(res.Results) != 1 || res.Results[0].Candidates == 0 {
+		t.Fatalf("the session after the refusals answered %+v, %v; want one task's results", res, err)
+	}
+	c.kill()
+	<-done
 }

@@ -166,7 +166,12 @@ func (w *Worker) ServeConn(conn net.Conn) {
 		}
 		execStart := time.Since(sessionStart)
 		t0 := time.Now()
-		results, connOK := w.runLevelMonitored(conn, runner, f.Level.Tasks)
+		results, connOK, err := w.runLevelMonitored(conn, runner, f.Level.Tasks)
+		if err != nil {
+			w.logf("shard worker: %s: refusing level %d: %v", conn.RemoteAddr(), f.Level.Level, err)
+			w.reply(bw, &frame{T: "result", Result: &resultMsg{Error: err.Error()}})
+			return
+		}
 		execDur := time.Since(t0)
 		w.execHist.Observe(execDur)
 		w.levelsRun.Add(1)
@@ -212,8 +217,8 @@ func (w *Worker) ServeConn(conn net.Conn) {
 // violated the protocol; either way the session is over and the connection
 // reports not-OK). The monitor is kicked off the connection via a read
 // deadline before the reply is written, so it can never consume bytes of a
-// subsequent frame.
-func (w *Worker) runLevelMonitored(conn net.Conn, runner *core.TaskRunner, tasks []core.NodeTask) ([]core.NodeResult, bool) {
+// subsequent frame. A slice the runner refuses comes back as its error.
+func (w *Worker) runLevelMonitored(conn net.Conn, runner *core.TaskRunner, tasks []core.NodeTask) ([]core.NodeResult, bool, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var lost atomic.Bool
@@ -227,11 +232,11 @@ func (w *Worker) runLevelMonitored(conn net.Conn, runner *core.TaskRunner, tasks
 			cancel()
 		}
 	}()
-	results := runner.RunLevel(ctx, tasks)
+	results, err := runner.RunLevel(ctx, tasks)
 	conn.SetReadDeadline(time.Now()) // unblock the monitor
 	<-done
 	conn.SetReadDeadline(time.Time{})
-	return results, !lost.Load()
+	return results, !lost.Load(), err
 }
 
 // isTimeout reports the error of a read interrupted by the monitor kick-out

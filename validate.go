@@ -125,15 +125,13 @@ func resolve(d *Dataset, context []string, a, b string) (ca, cb int, ctx *partit
 	}
 	arena := partition.NewArena()
 	ctx = partition.Universe(d.NumRows())
-	for k, name := range context {
+	for _, name := range context {
 		i := d.table().ColumnIndex(name)
 		if i < 0 {
 			return 0, 0, nil, fmt.Errorf("aod: no context column %q", name)
 		}
 		next := arena.Split(ctx, d.table().Column(i))
-		if k > 0 && next != ctx {
-			arena.Recycle(ctx) // intermediate product: reuse its buffers
-		}
+		arena.Recycle(ctx) // intermediate context: reuse its buffers
 		ctx = next
 	}
 	return ca, cb, ctx, nil
