@@ -224,7 +224,9 @@ type Stats struct {
 	// Canceled reports a context cancellation mid-run (results are partial).
 	Canceled bool `json:"canceled,omitempty"`
 	// EarlyStopped reports that discovery ended before exhausting the
-	// lattice because no candidates remained.
+	// lattice because no candidates remained: a level validated none, or
+	// no set of the next level had all of its subsets left with
+	// candidates to pass on.
 	EarlyStopped bool `json:"earlyStopped,omitempty"`
 }
 

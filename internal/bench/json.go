@@ -189,7 +189,7 @@ func jsonWorkloads(seed int64) []struct {
 		{"discover-sharded-loopback/n=5000,attrs=10", func(b *testing.B) {
 			// The distributed path over in-process workers: full wire
 			// protocol (handshake, binary columnar dataset, flat task/result
-			// records, pipelined level dispatch) without network latency —
+			// records, per-level slice dispatch) without network latency —
 			// the protocol-overhead trajectory vs discover-pool. The cluster
 			// persists across iterations like a real pool, so the dataset
 			// ships and cold-partitions once. ShardedQuantum is the executor

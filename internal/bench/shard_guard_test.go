@@ -9,7 +9,7 @@ import (
 
 // TestShardedOverheadGuard measures the shard protocol tax directly: the
 // discover-sharded-loopback workload (full wire protocol over in-process
-// workers — binary columnar frames, pipelined level dispatch) against
+// workers — binary columnar frames, per-level slice dispatch) against
 // discover-pool on the same 5k-row dataset, same process, interleaved runs.
 // The budget is sharded/pool ≤ 1.05 — the protocol-v2 contract — gated at
 // 1.15 to absorb CI-runner noise. Opt-in via AOD_BENCH_GUARD=1 — the run

@@ -29,6 +29,23 @@
 // approximate OFD leaves Π_X ≠ Π_{X∖{c}} and skips nothing. Holding an
 // exact FD is upward-closed (X∖{c} → c gives Y∖{c} → c for Y ⊇ X), so a
 // level with no candidate left to validate ends the run.
+//
+// Every skip rule is upward-closed: a verdict at a node X skips the same
+// candidate at every superset Y. So the node keeps live sets (attributes
+// and pairs in each direction whose candidate some superset could still
+// validate), and its verdicts remove, for every Y ⊋ X: an attribute a with
+// a newly valid OFD (non-minimal in Y) together with each pair {a, b} with
+// b ∉ X (Y∖{a, b} ⊇ X holds a constant a); each newly valid OC
+// (non-minimal in Y); and, when X holds an exact FD, each attribute and
+// each pair outside X (their contexts in Y hold it). A node's live sets
+// start as the intersection of its parents', which, restricted to X, is
+// exactly the set of candidates no rule skips there: every proper subset
+// of X lies below a parent, and each rule fires at X exactly when some
+// proper subset's verdict removed the candidate. A node left with nothing
+// live is dead, and no superset of it is built, as FASTOD [9] deletes
+// nodes: a superset could validate nothing. Deletion changes neither the
+// validated candidates nor the verdicts, only how many nodes and levels
+// the traversal visits.
 package core
 
 import (
@@ -93,12 +110,14 @@ type Config struct {
 	TimeLimit time.Duration
 	// DisablePruning is an ablation switch, the exhaustive walk: every
 	// candidate is validated even when minimality, constancy or exact-FD
-	// pruning could skip it, and no verdict of a candidate pruning would
-	// skip is kept, so each level's validity state, skip counts and
-	// reported dependencies are the pruned run's; the walk just goes on
-	// past the level where the pruned run stops. Used to measure the
-	// pruning benefit the paper's Exp-5 relies on, and as the oracle of the
-	// pruning tests.
+	// pruning could skip it, no verdict of a candidate pruning would skip
+	// is kept, and no node is deleted. So the walk's validity state and
+	// reported dependencies are the pruned run's, and at each level it
+	// leaves unskipped exactly the candidates the pruned run validates;
+	// but it also visits the nodes the pruned run deletes, whose candidates
+	// it counts as skipped, and goes on past the level where the pruned
+	// run stops. Used to measure the pruning benefit the paper's Exp-5
+	// relies on, and as the oracle of the pruning tests.
 	DisablePruning bool
 	// Bidirectional additionally searches mixed-direction order
 	// compatibilities X: A ∼ B↓ (A ascending, B descending), after the

@@ -97,8 +97,10 @@ func runExecutors(t *testing.T, tbl *dataset.Table, cfg core.Config) *core.Resul
 // levelCounts runs the exhaustive walk (DisablePruning) and returns, per
 // level, the candidates pruning would validate and those it would validate
 // without the exact-FD rule. The walk validates every candidate but keeps
-// the pruned run's state and skip counters, so these are the pruned run's
-// per-level numbers.
+// only the verdicts of the candidates pruning would validate, so its state
+// is the pruned run's; it also visits the nodes the pruned run deletes,
+// whose candidates pruning skips all, so its skip counts are higher but its
+// per-level count of unskipped candidates is the pruned run's.
 func levelCounts(t *testing.T, tbl *dataset.Table, cfg core.Config) (withRule, withoutRule []int) {
 	t.Helper()
 	cfg.DisablePruning = true
@@ -130,24 +132,33 @@ func firstFree(counts []int) int {
 	return len(counts) + 1
 }
 
-// checkStop asserts the early stop the rule's argument predicts: the run
-// ends at the first level where pruning validates nothing, and every deeper
-// level of the exhaustive walk validates nothing either (holding an exact
-// internal FD is upward-closed). It returns the level the run would stop
-// at without the rule.
-func checkStop(t *testing.T, label string, tbl *dataset.Table, cfg core.Config, res *core.Result) int {
+// checkStop asserts where the run stops: after exactly wantLevels levels,
+// early unless that is the whole lattice, having validated at every level
+// exactly the candidates the exhaustive walk leaves unskipped there, while
+// no deeper level of the walk leaves any (every candidate skip is
+// upward-closed, and a deleted node has none to leave). It returns the
+// level the run would stop at without the exact-FD rule.
+func checkStop(t *testing.T, label string, tbl *dataset.Table, cfg core.Config, res *core.Result, wantLevels int) int {
 	t.Helper()
 	withRule, withoutRule := levelCounts(t, tbl, cfg)
-	stop := firstFree(withRule)
-	for l := stop; l <= len(withRule); l++ {
-		if withRule[l-1] != 0 {
-			t.Errorf("%s: level %d validates %d candidates after the free level %d", label, l, withRule[l-1], stop)
-		}
+	var perLevel []int
+	sink := func(s core.Snapshot) { perLevel = append(perLevel, s.Candidates) }
+	if _, err := (core.Pipeline{Sink: sink}).Run(context.Background(), tbl, cfg); err != nil {
+		t.Fatal(err)
 	}
-	wantLevels := min(stop, len(withRule))
-	if res.Stats.LevelsProcessed != wantLevels || res.Stats.EarlyStopped != (stop < len(withRule)) {
-		t.Errorf("%s: ran %d levels (early stop %v), the exhaustive walk predicts %d of %d",
-			label, res.Stats.LevelsProcessed, res.Stats.EarlyStopped, wantLevels, len(withRule))
+	stop := res.Stats.LevelsProcessed
+	if stop != wantLevels || res.Stats.EarlyStopped != (stop < len(withRule)) {
+		t.Errorf("%s: ran %d levels (early stop %v), want %d of %d",
+			label, stop, res.Stats.EarlyStopped, wantLevels, len(withRule))
+	}
+	if stop > len(withRule) || !reflect.DeepEqual(perLevel, withRule[:min(stop, len(withRule))]) {
+		t.Errorf("%s: validated %v per level, the exhaustive walk leaves %v unskipped", label, perLevel, withRule)
+	}
+	for l := stop + 1; l <= len(withRule); l++ {
+		if withRule[l-1] != 0 {
+			t.Errorf("%s: level %d of the walk leaves %d candidates unskipped after the stop at %d",
+				label, l, withRule[l-1], stop)
+		}
 	}
 	return firstFree(withoutRule)
 }
@@ -190,7 +201,7 @@ func TestFDSkipDerivedColumnExact(t *testing.T) {
 		t.Logf("bidirectional=%v: skipped %d OFDs and %d OCs; %d levels", bidi, ofds, ocs, res.Stats.LevelsProcessed)
 		requireSameDependencies(t, "exact", tbl, cfg, res)
 		requireReference(t, tbl, cfg, res)
-		checkStop(t, "exact", tbl, cfg, res)
+		checkStop(t, "exact", tbl, cfg, res, 5)
 	}
 }
 
@@ -208,7 +219,7 @@ func TestFDSkipZeroRemovalOFDOptimal(t *testing.T) {
 	}
 	requireSameDependencies(t, "optimal", tbl, cfg, res)
 	requireReference(t, tbl, cfg, res)
-	checkStop(t, "optimal", tbl, cfg, res)
+	checkStop(t, "optimal", tbl, cfg, res, 5)
 }
 
 // TestFDSkipIgnoresApproximateFD: with one row breaking c = f(x), x → c is
@@ -240,13 +251,13 @@ func TestFDSkipIgnoresApproximateFD(t *testing.T) {
 
 // TestFDSkipMovesTheEarlyStop: on a deep exact lattice the rule leaves whole
 // levels without a candidate to validate, so the run stops levels earlier
-// than it would without the rule, at the level the exhaustive walk
-// predicts.
+// than it would without the rule: after level 5, where node deletion leaves
+// no set to build, one level before the walk's first candidate-free level.
 func TestFDSkipMovesTheEarlyStop(t *testing.T) {
 	tbl := gen.NCVoter(gen.NCVoterConfig{Rows: 1000, Attrs: 10, Seed: 5})
 	cfg := core.Config{Validator: core.ValidatorExact, IncludeOFDs: true}
 	res := runExecutors(t, tbl, cfg)
-	without := checkStop(t, "ncvoter", tbl, cfg, res)
+	without := checkStop(t, "ncvoter", tbl, cfg, res, 5)
 	t.Logf("%d levels, %d without the rule; skipped %d OCs and %d OFDs for their exact FD",
 		res.Stats.LevelsProcessed, without, res.Stats.OCSkippedFD, res.Stats.OFDSkippedFD)
 	if res.Stats.LevelsProcessed >= without {

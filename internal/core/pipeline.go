@@ -34,8 +34,9 @@ type Snapshot struct {
 	OFDs []OFD
 	// Stats is a deep copy of the run statistics so far.
 	Stats Stats
-	// NodesRemaining is the number of lattice nodes in the levels not yet
-	// processed (an upper bound: early termination can skip them all).
+	// NodesRemaining bounds the lattice nodes in the levels not yet
+	// processed by their binomial count, a loose bound: node deletion skips
+	// every superset of a dead node, and early termination skips them all.
 	NodesRemaining int64
 	// EstimatedRemaining estimates the remaining work as
 	// rows × attrs × remaining levels — the cost currency the service's
@@ -143,12 +144,6 @@ type traversal struct {
 	levelSpan *telemetry.ActiveSpan
 	lastValid time.Duration
 	lastPart  time.Duration
-
-	// prefetchedNext, when set by a pipelining executor (Sharded), is the
-	// already-generated next level; Run advances through it instead of
-	// generating a twin, because the executor's pre-built tasks alias its
-	// nodes.
-	prefetchedNext *lattice.Level
 }
 
 // abortedInto reports that the run must stop — the TimeLimit deadline passed
@@ -233,13 +228,14 @@ func EstimateCost(rows, attrs, levels int) int64 {
 }
 
 // Run executes the level-wise discovery framework over the table: generate
-// level ℓ+1 from level ℓ, hand each level's candidate validation to the
-// Executor, deliver a Snapshot per level boundary, and stop on lattice
-// exhaustion, a candidate-free level (validity state is upward-closed, so a
+// level ℓ+1 from the live nodes of level ℓ, hand each level's candidate
+// validation to the Executor, deliver a Snapshot per level boundary, and stop
+// on a candidate-free level (validity state is upward-closed, so a
 // candidate-free level stays candidate-free at every deeper level — the early
-// termination behind Exp-5), the MaxLevel bound, a TimeLimit, or context
-// cancellation. Aborted runs return the partial result with
-// Stats.TimedOut/Canceled set and a nil error.
+// termination behind Exp-5), an empty next level (every set of that size has
+// a dead subset), the MaxLevel bound, a TimeLimit, or context cancellation.
+// Aborted runs return the partial result with Stats.TimedOut/Canceled set
+// and a nil error.
 func (p Pipeline) Run(ctx context.Context, tbl *dataset.Table, cfg Config) (*Result, error) {
 	numAttrs := tbl.NumCols()
 	if err := cfg.Validate(numAttrs); err != nil {
@@ -318,20 +314,20 @@ func (p Pipeline) Run(ctx context.Context, tbl *dataset.Table, cfg Config) (*Res
 		t.levelSpan.End()
 		levelTime := time.Since(lvlStart)
 		aborted := st.TimedOut || st.Canceled
-		if !aborted && candidates == 0 {
+		last := aborted || candidates == 0 || cur.Number == maxLevel
+		var next *lattice.Level
+		if !last {
+			next = lattice.NextLevel(cur, numAttrs)
+			last = len(next.Nodes) == 0
+		}
+		if !aborted && last {
 			st.EarlyStopped = cur.Number < maxLevel
 		}
-		last := aborted || candidates == 0 || cur.Number == maxLevel
 		if p.Sink != nil {
 			p.Sink(t.snapshot(cur, candidates, levelTime, last))
 		}
 		if last {
 			break
-		}
-		next := t.prefetchedNext
-		t.prefetchedNext = nil
-		if next == nil {
-			next = lattice.NextLevel(cur, numAttrs)
 		}
 		prev, cur = cur, next
 	}

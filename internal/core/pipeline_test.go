@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"aod/internal/dataset"
 	"aod/internal/gen"
 	"aod/internal/lattice"
 )
@@ -174,6 +176,69 @@ func TestSnapshotOnMaxLevelBound(t *testing.T) {
 	last := snaps[len(snaps)-1]
 	if !last.Final || last.Level > 3 || last.MaxLevel != 3 {
 		t.Fatalf("bad final snapshot: %+v", last)
+	}
+}
+
+// TestSnapshotsWhenDeletionEmptiesALevel: on a table where c = f(x) and
+// four independent columns hold few rows, every level-6 set has a dead
+// subset, so the run stops after level 5 although that level still
+// validated candidates. It is an early stop, and its last snapshot is the
+// one Final snapshot, one per processed level.
+func TestSnapshotsWhenDeletionEmptiesALevel(t *testing.T) {
+	f := [6]int64{2, 0, 1, 1, 0, 2}
+	rng := rand.New(rand.NewSource(1))
+	const rows = 20
+	x, c := make([]int64, rows), make([]int64, rows)
+	for i := range x {
+		x[i] = int64(rng.Intn(6))
+		c[i] = f[x[i]]
+	}
+	b := dataset.NewBuilder().AddInts("x", x).AddInts("c", c)
+	for j := 0; j < 4; j++ {
+		y := make([]int64, rows)
+		for i := range y {
+			y[i] = int64(rng.Intn(4))
+		}
+		b.AddInts(fmt.Sprintf("y%d", j), y)
+	}
+	tbl, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Validator: ValidatorExact, IncludeOFDs: true}
+	for _, exec := range []struct {
+		name string
+		mk   func() Executor
+	}{
+		{"serial", Serial},
+		{"pool", func() Executor { return Pool(2) }},
+	} {
+		var snaps []Snapshot
+		res, err := Pipeline{Executor: exec.mk(), Sink: func(s Snapshot) { snaps = append(snaps, s) }}.
+			Run(context.Background(), tbl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.LevelsProcessed != 5 || !st.EarlyStopped {
+			t.Fatalf("%s: ran %d levels (early stop %v), want 5 and an early stop", exec.name, st.LevelsProcessed, st.EarlyStopped)
+		}
+		if len(snaps) != st.LevelsProcessed {
+			t.Fatalf("%s: %d snapshots for %d levels", exec.name, len(snaps), st.LevelsProcessed)
+		}
+		final := 0
+		for _, s := range snaps {
+			if s.Final {
+				final++
+			}
+		}
+		last := snaps[len(snaps)-1]
+		if final != 1 || !last.Final {
+			t.Errorf("%s: %d Final snapshots, last one Final: %v", exec.name, final, last.Final)
+		}
+		if last.Candidates == 0 {
+			t.Errorf("%s: level %d validated nothing: the stop is the candidate-free one", exec.name, last.Level)
+		}
 	}
 }
 

@@ -129,8 +129,9 @@ type Stats struct {
 	// Canceled reports that the context passed to Pipeline.Run was
 	// canceled mid-run (results are partial, like TimedOut).
 	Canceled bool
-	// EarlyStopped reports that a candidate-free level ended the run before
-	// the lattice was exhausted (the pruning behind Exp-5's speedups).
+	// EarlyStopped reports that the run ended below its last level: a
+	// level validated no candidate (the pruning behind Exp-5's speedups),
+	// or node deletion left no set to build at the next.
 	EarlyStopped bool
 }
 

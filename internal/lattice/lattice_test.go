@@ -172,6 +172,73 @@ func TestPairSetRandomizedAgainstMap(t *testing.T) {
 	}
 }
 
+// TestPairSetBulkOpsAgainstMap holds Fill, IntersectWith, RemoveBetween and
+// RemoveWithin to a map model on schemas up to 64 attributes wide, whose
+// triangular rows straddle word boundaries.
+func TestPairSetBulkOpsAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 200; iter++ {
+		numAttrs := 2 + rng.Intn(63)
+		randomSet := func() AttrSet {
+			var s AttrSet
+			for a := 0; a < numAttrs; a++ {
+				if rng.Intn(3) == 0 {
+					s = s.Add(a)
+				}
+			}
+			return s
+		}
+		p := NewPairSet(numAttrs)
+		p.Fill()
+		ref := make(map[[2]int]bool)
+		for a := 0; a < numAttrs; a++ {
+			for b := a + 1; b < numAttrs; b++ {
+				ref[[2]int{a, b}] = true
+			}
+		}
+		q := NewPairSet(numAttrs)
+		for op := 0; op < 3*numAttrs; op++ {
+			a, b := rng.Intn(numAttrs), rng.Intn(numAttrs)
+			if a != b {
+				q.Add(a, b)
+			}
+		}
+		switch iter % 3 {
+		case 0:
+			p.IntersectWith(q)
+			for k := range ref {
+				if !q.Has(k[0], k[1]) {
+					delete(ref, k)
+				}
+			}
+		case 1:
+			a, s := rng.Intn(numAttrs), randomSet()
+			p.RemoveBetween(a, s)
+			for k := range ref {
+				if (k[0] == a && s.Has(k[1])) || (k[1] == a && s.Has(k[0])) {
+					delete(ref, k)
+				}
+			}
+		case 2:
+			s := randomSet()
+			p.RemoveWithin(s)
+			for k := range ref {
+				if s.Has(k[0]) && s.Has(k[1]) {
+					delete(ref, k)
+				}
+			}
+		}
+		if p.Count() != len(ref) {
+			t.Fatalf("iter %d (%d attrs): count = %d, want %d", iter, numAttrs, p.Count(), len(ref))
+		}
+		p.ForEach(func(a, b int) {
+			if !ref[[2]int{a, b}] {
+				t.Fatalf("iter %d (%d attrs): unexpected pair {%d,%d}", iter, numAttrs, a, b)
+			}
+		})
+	}
+}
+
 func buildTestTable(t *testing.T, numAttrs, rows int, seed int64) *dataset.Table {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -223,6 +290,32 @@ func TestLevelGenerationEnumeratesAllSets(t *testing.T) {
 	}
 	if next := NextLevel(cur, 5); len(next.Nodes) != 0 {
 		t.Fatalf("level 6 should be empty, got %d nodes", len(next.Nodes))
+	}
+}
+
+// TestNextLevelSkipsSupersetsOfDeadNodes: a set is built only when all of
+// its subsets one level down are live nodes of the level, so a dead node
+// and a set missing from the level both keep their supersets out.
+func TestNextLevelSkipsSupersetsOfDeadNodes(t *testing.T) {
+	l1 := Level1(5)
+	l1.Lookup(NewAttrSet(4)).Dead = true
+	l2 := NextLevel(l1, 5)
+	if len(l2.Nodes) != 6 {
+		t.Fatalf("level 2 has %d nodes, want the 6 pairs of {0,1,2,3}", len(l2.Nodes))
+	}
+	for _, n := range l2.Nodes {
+		if n.Set.Has(4) {
+			t.Errorf("built %v above the dead {4}", n.Set)
+		}
+	}
+	l2.Lookup(NewAttrSet(0, 1)).Dead = true
+	var got []AttrSet
+	for _, n := range NextLevel(l2, 5).Nodes {
+		got = append(got, n.Set)
+	}
+	want := []AttrSet{NewAttrSet(0, 2, 3), NewAttrSet(1, 2, 3)}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("level 3 = %v, want %v", got, want)
 	}
 }
 

@@ -18,6 +18,14 @@ import "math/bits"
 //     exact FDs whose OFD candidate minimality skipped; it never holds a
 //     wrong one, and it is upward-closed: c ∈ ExactConst of a subset puts c
 //     in every superset's.
+//   - LiveAttrs, LivePairs and LivePairsDesc: the attributes whose OFD
+//     candidate, and the pairs whose ascending or mixed-direction OC
+//     candidate, a superset could still validate. They start as the
+//     intersection of the parents' live sets, which, restricted to Set and
+//     its pairs, are exactly the node's candidates that pruning does not
+//     skip; the node's verdicts then remove what they decide for every
+//     superset. A node left with nothing live is Dead, and NextLevel builds
+//     no superset of it.
 //
 // Nodes carry no partitions: the traversal reads context partitions from a
 // partition.Memo keyed by the same attribute-set bitmask.
@@ -40,6 +48,17 @@ type Node struct {
 	// ExactConst: the OFD candidate (Set\{c}): [] ↦ c reads a context that
 	// equals one of its own subsets.
 	FDParents AttrSet
+	// LiveAttrs marks the attrs whose OFD candidate a superset could still
+	// validate; LivePairs and LivePairsDesc (the latter allocated only when
+	// bidirectional discovery is enabled) mark the pairs whose OC candidate,
+	// ascending or mixed-direction, a superset could still validate.
+	LiveAttrs     AttrSet
+	LivePairs     *PairSet
+	LivePairsDesc *PairSet
+	// Dead marks a node with nothing live: no superset has a candidate left
+	// to validate, so none is built. A traversal that never sets it visits
+	// every set.
+	Dead bool
 }
 
 // Level is one stratum of the lattice: all nodes whose sets share a
@@ -80,8 +99,9 @@ func Level1(numAttrs int) *Level {
 // RemainingNodes returns the number of lattice nodes in levels
 // (fromLevel, maxLevel] — the sum of binomial coefficients C(numAttrs, k) for
 // fromLevel < k ≤ maxLevel. Traversal snapshots use it as an upper bound on
-// the nodes a running discovery may still visit (early termination can skip
-// them all). The running product never overflows for numAttrs ≤ 64: the
+// the nodes a running discovery may still visit; a loose one, since
+// NextLevel builds no superset of a dead node and early termination can skip
+// them all. The running product never overflows for numAttrs ≤ 64: the
 // largest term C(64, 32) ≈ 1.8e18 fits an int64, and the sum saturates at
 // MaxInt64 rather than wrapping.
 func RemainingNodes(numAttrs, fromLevel, maxLevel int) int64 {
@@ -121,15 +141,27 @@ func binomial(n, k int) int64 {
 	return int64(c)
 }
 
-// NextLevel generates level ℓ+1 from level ℓ: every set S with |S| = ℓ+1 is
-// produced exactly once by extending the node of S \ {max attr} with an
-// attribute larger than its maximum.
+// NextLevel generates level ℓ+1 from level ℓ: every set S with |S| = ℓ+1
+// whose ℓ-subsets are all nodes of cur and none of them Dead is produced
+// exactly once, by extending the node of S \ {max attr} with an attribute
+// larger than its maximum.
 func NextLevel(cur *Level, numAttrs int) *Level {
 	next := &Level{Number: cur.Number + 1, bySet: make(map[AttrSet]*Node)}
 	for _, n := range cur.Nodes {
+		if n.Dead {
+			continue
+		}
+	extend:
 		for c := n.Set.Max() + 1; c < numAttrs; c++ {
+			set := n.Set.Add(c)
+			// The parent missing c is n; look up the others.
+			for t := n.Set; t != 0; t &= t - 1 {
+				if p := cur.bySet[set&^(t&-t)]; p == nil || p.Dead {
+					continue extend
+				}
+			}
 			child := &Node{
-				Set:     n.Set.Add(c),
+				Set:     set,
 				Level:   next.Number,
 				OCValid: NewPairSet(numAttrs),
 			}

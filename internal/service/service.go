@@ -264,7 +264,7 @@ const SmallJobCost = 1 << 24
 // levels, aod.EstimateWork). 1<<20 ≈ 1.05M keeps a 5k-row × 10-attr
 // full-lattice job (500K) serial — measured faster than pool fan-out at that
 // size — while 1<<22 ≈ 4.2M sends a 50k-row × 10-attr job (5M) to the shard
-// pool, past the crossover where columnar shipping amortizes and pipelined
+// pool, past the crossover where columnar shipping amortizes and sharded
 // dispatch beats local workers.
 const (
 	DefaultSerialCostMax = 1 << 20

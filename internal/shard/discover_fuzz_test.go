@@ -95,15 +95,18 @@ func fuzzDiscoverInput(data []byte) (*dataset.Table, core.Config) {
 
 // FuzzDiscover checks discovery end to end on small tables:
 //   - the pruned run reports the OCs and OFDs of the exhaustive walk
-//     (DisablePruning), removal rows included;
+//     (DisablePruning), removal rows included, and validates exactly the
+//     candidates the walk validates and no rule skips, although it deletes
+//     nodes the walk visits;
 //   - Serial ≡ Pool(2) ≡ Sharded over a two-worker loopback, on whole
 //     results with every non-timing stat;
 //   - under the exact and optimal validators, the dependencies and their
 //     removal counts equal the brute-force core.ReferenceDiscover's;
 //   - the OFDs equal TANE's minimal FDs, errors included.
 //
-// Its seeds (discoverSeeds) hold tables on which the exact-FD rule fires and
-// one whose FD holds only approximately.
+// Its seeds (discoverSeeds) hold tables on which the exact-FD rule fires,
+// one whose FD holds only approximately, and one on which node deletion
+// empties a level.
 func FuzzDiscover(f *testing.F) {
 	for _, seed := range discoverSeeds {
 		f.Add(seed.data)
@@ -137,6 +140,12 @@ func FuzzDiscover(f *testing.F) {
 		if !reflect.DeepEqual(serial.OCs, walk.OCs) || !reflect.DeepEqual(serial.OFDs, walk.OFDs) {
 			t.Fatalf("%+v: pruned run differs from the exhaustive walk:\npruned %v %v\nwalk   %v %v",
 				cfg, serial.OCs, serial.OFDs, walk.OCs, walk.OFDs)
+		}
+		st, ws := serial.Stats, walk.Stats
+		if st.OCCandidates != ws.OCCandidates-ws.OCSkippedMinimality-ws.OCSkippedConstancy-ws.OCSkippedFD ||
+			st.OFDCandidates != ws.OFDCandidates-ws.OFDSkipped-ws.OFDSkippedFD {
+			t.Fatalf("%+v: pruned run validates %d OC and %d OFD candidates, the walk leaves unskipped those of\n%+v",
+				cfg, st.OCCandidates, st.OFDCandidates, ws)
 		}
 
 		if cfg.Validator != core.ValidatorIterative {
@@ -174,40 +183,66 @@ func FuzzDiscover(f *testing.F) {
 }
 
 // discoverSeeds are FuzzDiscover's inline seeds, with the exact-FD skips
-// each makes (TestDiscoverSeedsExerciseTheRule holds them to it).
+// and the node deletion each makes (TestDiscoverSeedsExerciseTheRule holds
+// them to it).
 var discoverSeeds = []struct {
 	name string
 	data []byte
-	// skips says whether the exact-FD rule fires on the seed.
-	skips bool
+	// skips says whether the exact-FD rule fires on the seed, deletes
+	// whether the run processes fewer nodes than the walk, and emptiesLevel
+	// whether it stops on an empty level, one whose sets all have a dead
+	// subset, while the level before still validated candidates.
+	skips, deletes, emptiesLevel bool
 }{
 	// Column 1 is an exact function of column 0, columns 2 and 3 are
 	// independent: the rule skips every candidate over a context holding
 	// columns 0 and 1.
-	{"exact-fd", []byte{0, 20, 4, 40, 0x80, 0x29, 0x60, 0x40, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4, 3, 3, 8, 3, 2, 7, 9, 5, 0, 2, 8, 8, 4, 1, 9, 7, 1, 6, 9, 3, 9, 9, 3, 7, 5, 1}, true},
+	{"exact-fd", []byte{0, 20, 4, 40, 0x80, 0x29, 0x60, 0x40, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4, 3, 3, 8, 3, 2, 7, 9, 5, 0, 2, 8, 8, 4, 1, 9, 7, 1, 6, 9, 3, 9, 9, 3, 7, 5, 1}, true, false, false},
 	// The same under the optimal validator at ε 0.10, bidirectional and
 	// with removal sets: the zero-removal OFD makes the same skips.
-	{"exact-fd-optimal", []byte{13, 20, 4, 40, 0x80, 0x29, 0x60, 0x40, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4, 3, 3, 8, 3, 2, 7, 9, 5, 0, 2, 8, 8, 4, 1, 9, 7, 1, 6, 9, 3, 9, 9, 3, 7, 5, 1}, true},
+	{"exact-fd-optimal", []byte{13, 20, 4, 40, 0x80, 0x29, 0x60, 0x40, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4, 3, 3, 8, 3, 2, 7, 9, 5, 0, 2, 8, 8, 4, 1, 9, 7, 1, 6, 9, 3, 9, 9, 3, 7, 5, 1}, true, false, false},
 	// Column 1 with one row changed, under the optimal validator at
 	// ε 0.10: the FD holds only approximately, so nothing is skipped.
-	{"approximate-fd", []byte{1, 20, 4, 40, 0x80, 0x2a, 0x60, 0x40, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4, 3, 3, 8, 3, 2, 7, 9, 5, 0, 2, 8, 8, 4, 1, 9, 7, 1, 6, 9, 3, 9, 9, 3, 7, 5, 1}, false},
+	{"approximate-fd", []byte{1, 20, 4, 40, 0x80, 0x2a, 0x60, 0x40, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4, 3, 3, 8, 3, 2, 7, 9, 5, 0, 2, 8, 8, 4, 1, 9, 7, 1, 6, 9, 3, 9, 9, 3, 7, 5, 1}, false, false, false},
+	// Six columns over 16 rows, under the optimal validator at ε 0.10 and
+	// bidirectional: columns 0, 2 and 3 independent, column 1 a function
+	// of column 0, column 4 of column 2 and column 5 of column 4. So few
+	// rows make small sets keys, and deletion leaves no level-5 set all of
+	// whose subsets are live.
+	{"deletion-empties-a-level", []byte{4, 20, 5, 16, 0x80, 0x29, 0x60, 0x40, 0x29, 0x61, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4, 3, 3, 8, 3, 2, 7, 9, 5, 0, 2, 8, 8, 4, 1, 9, 7, 1, 6, 9, 3, 9, 9, 3, 7, 5, 1}, true, true, true},
 }
 
 // TestDiscoverSeedsExerciseTheRule keeps FuzzDiscover's seeds meaningful:
-// the rule fires on the seeds meant to show it and on no other.
+// the rule fires, node deletion drops nodes and deletion ends the run on an
+// empty level on the seeds meant to show each, and on no other.
 func TestDiscoverSeedsExerciseTheRule(t *testing.T) {
 	for _, seed := range discoverSeeds {
 		tbl, cfg := fuzzDiscoverInput(seed.data)
-		res, err := core.Discover(tbl, cfg)
+		var last core.Snapshot
+		res, err := core.Pipeline{Sink: func(s core.Snapshot) { last = s }}.Run(context.Background(), tbl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abl := cfg
+		abl.DisablePruning = true
+		walk, err := core.Discover(tbl, abl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := res.Stats
-		t.Logf("%s: %d×%d %v, %d OC / %d OFD candidates, %d / %d skipped for an exact FD, %d OFDs",
+		t.Logf("%s: %d×%d %v, %d OC / %d OFD candidates, %d / %d skipped for an exact FD, %d OFDs, %d of the walk's %d nodes, %d levels",
 			seed.name, tbl.NumRows(), tbl.NumCols(), cfg.Validator, st.OCCandidates, st.OFDCandidates,
-			st.OCSkippedFD, st.OFDSkippedFD, len(res.OFDs))
+			st.OCSkippedFD, st.OFDSkippedFD, len(res.OFDs), st.NodesProcessed, walk.Stats.NodesProcessed, st.LevelsProcessed)
 		if fired := st.OCSkippedFD+st.OFDSkippedFD > 0; fired != seed.skips {
 			t.Errorf("%s: exact-FD skips %d / %d, want skips: %v", seed.name, st.OCSkippedFD, st.OFDSkippedFD, seed.skips)
+		}
+		if deleted := st.NodesProcessed < walk.Stats.NodesProcessed; deleted != seed.deletes {
+			t.Errorf("%s: %d nodes processed, the walk %d, want deletion: %v",
+				seed.name, st.NodesProcessed, walk.Stats.NodesProcessed, seed.deletes)
+		}
+		if emptied := st.EarlyStopped && last.Candidates > 0; emptied != seed.emptiesLevel {
+			t.Errorf("%s: stopped after level %d (early %v, %d candidates there), want a stop on an empty level: %v",
+				seed.name, last.Level, st.EarlyStopped, last.Candidates, seed.emptiesLevel)
 		}
 	}
 }

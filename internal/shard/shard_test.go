@@ -85,9 +85,9 @@ func TestExecutorEquivalenceMatrix(t *testing.T) {
 	for tname, tbl := range tables {
 		for cname, cfg := range configs {
 			want := discoverWith(t, tbl, cfg, core.Serial())
-			// sharded-straggler exercises pipelined dispatch under skew: one
-			// worker delays every slice past the straggler deadline, so level
-			// N+1 pre-dispatch, re-dispatch races, and in-order commit all
+			// sharded-straggler exercises dispatch under skew: one worker
+			// delays every slice past the straggler deadline, so re-dispatch
+			// races and the in-order commit of slices that land out of order
 			// interleave — and the result must still be byte-identical.
 			straggler := NewLoopback(Config{StragglerAfter: 5 * time.Millisecond}, []*Worker{
 				NewWorker(WorkerOptions{}),
