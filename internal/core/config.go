@@ -31,21 +31,17 @@
 // level with no candidate left to validate ends the run.
 //
 // Every skip rule is upward-closed: a verdict at a node X skips the same
-// candidate at every superset Y. So the node keeps live sets (attributes
-// and pairs in each direction whose candidate some superset could still
-// validate), and its verdicts remove, for every Y ⊋ X: an attribute a with
-// a newly valid OFD (non-minimal in Y) together with each pair {a, b} with
-// b ∉ X (Y∖{a, b} ⊇ X holds a constant a); each newly valid OC
-// (non-minimal in Y); and, when X holds an exact FD, each attribute and
-// each pair outside X (their contexts in Y hold it). A node's live sets
-// start as the intersection of its parents', which, restricted to X, is
-// exactly the set of candidates no rule skips there: every proper subset
-// of X lies below a parent, and each rule fires at X exactly when some
-// proper subset's verdict removed the candidate. A node left with nothing
-// live is dead, and no superset of it is built, as FASTOD [9] deletes
-// nodes: a superset could validate nothing. Deletion changes neither the
-// validated candidates nor the verdicts, only how many nodes and levels
-// the traversal visits.
+// candidate at every superset Y. So X is dead, and no superset of it is
+// built, as FASTOD [9] deletes nodes, once its verdicts settle every
+// candidate of every Y ⊋ X. That takes three things. X holds an exact FD,
+// so a candidate over an attribute outside X, or a pair with both sides
+// outside X, has a context in Y that holds it too. Each a ∈ X has a valid
+// OFD W: [] ↦ a with W ⊆ X∖{a}, so the OFD on a is non-minimal in Y and an
+// OC over a and some b ∉ X has a constant side; or X∖{a} holds an exact FD,
+// so both contexts in Y hold it. And every OC candidate X validated held:
+// a pair inside X was then found valid or skipped at X, and the same rule
+// skips it in Y. Deletion changes neither the validated candidates nor the
+// verdicts, only how many nodes and levels the traversal visits.
 package core
 
 import (

@@ -164,22 +164,11 @@ var (
 // coordinator-side half of node processing, which needs the whole previous
 // level) and captures the node's work unit in task, reusing its ParentConst
 // and ParentFDContexts capacity; ParentFDContexts stays empty, allocating
-// nothing, unless a parent has an FD context. The node's live sets become
-// the intersection of its parents' (everything at level 1, whose only
-// parent, the empty set, is no node). The task's pair-set words alias the
-// node's sets — free locally, copied only by serialization.
+// nothing, unless a parent has an FD context. The task's pair-set words alias
+// the node's sets — free locally, copied only by serialization.
 func buildTask(task *NodeTask, node *lattice.Node, parents *lattice.Level, numAttrs int, bidirectional bool) {
-	if node.LivePairs == nil {
-		node.LivePairs = lattice.NewPairSet(numAttrs)
-	}
 	if bidirectional && node.OCValidDesc == nil {
 		node.OCValidDesc = lattice.NewPairSet(numAttrs)
-		node.LivePairsDesc = lattice.NewPairSet(numAttrs)
-	}
-	node.LiveAttrs = lattice.AttrSet(1)<<uint(numAttrs) - 1
-	node.LivePairs.Fill()
-	if node.LivePairsDesc != nil {
-		node.LivePairsDesc.Fill()
 	}
 	*task = NodeTask{
 		Set:              uint64(node.Set),
@@ -201,11 +190,8 @@ func buildTask(task *NodeTask, node *lattice.Node, parents *lattice.Level, numAt
 			parentFD[i] = uint64(p.FDParents)
 			anyParentFD = anyParentFD.Union(p.FDParents)
 			node.OCValid.UnionWith(p.OCValid)
-			node.LiveAttrs = node.LiveAttrs.Intersect(p.LiveAttrs)
-			node.LivePairs.IntersectWith(p.LivePairs)
 			if node.OCValidDesc != nil && p.OCValidDesc != nil {
 				node.OCValidDesc.UnionWith(p.OCValidDesc)
-				node.LivePairsDesc.IntersectWith(p.LivePairsDesc)
 			}
 		}
 		i++
@@ -264,17 +250,27 @@ func (e *engine) execTask(task *NodeTask, nr *NodeResult) {
 func (e *engine) examine(task *NodeTask, nr *NodeResult, start *time.Time) {
 	st := &nr.Stats
 	set := lattice.AttrSet(task.Set)
+	propagatedConst := lattice.AttrSet(task.ConstValid)
+	fdContexts := lattice.AttrSet(task.FDContexts)
 	var buf [lattice.MaxAttrs]int
 	attrs := set.AppendAttrs(buf[:0])
 
 	// --- OFD candidates. -------------------------------------------------
 	for _, d := range attrs {
-		skip := task.ofdSkip(d, st)
-		if skip != nil {
-			*skip++
-			if !e.t.cfg.DisablePruning {
-				continue
-			}
+		skip := true
+		switch {
+		case propagatedConst.Has(d):
+			// A strict sub-context already has a valid OFD for d: any OFD
+			// here is valid but non-minimal.
+			st.OFDSkipped++
+		case fdContexts.Has(d):
+			// The context equals a subset's, where the OFD failed.
+			st.OFDSkippedFD++
+		default:
+			skip = false
+		}
+		if skip && !e.t.cfg.DisablePruning {
+			continue
 		}
 		if e.aborted() {
 			return
@@ -286,7 +282,7 @@ func (e *engine) examine(task *NodeTask, nr *NodeResult, start *time.Time) {
 		st.OFDCandidates++
 		nr.Candidates++
 		r := e.validateOFD(ctx, e.t.tbl.Column(d))
-		if skip != nil || !r.Valid {
+		if skip || !r.Valid {
 			continue
 		}
 		nr.NewConst |= 1 << uint(d)
@@ -316,12 +312,33 @@ func (e *engine) examine(task *NodeTask, nr *NodeResult, start *time.Time) {
 		for j := i + 1; j < len(attrs); j++ {
 			a, b := attrs[i], attrs[j]
 			for _, desc := range directions {
-				skip := task.ocSkip(i, j, a, b, desc, e.t.numAttrs, st)
-				if skip != nil {
-					*skip++
-					if !e.t.cfg.DisablePruning {
-						continue
-					}
+				validWords := task.OCValid
+				if desc {
+					validWords = task.OCValidDesc
+				}
+				skip := false
+				if lattice.PairHas(validWords, a, b, e.t.numAttrs) {
+					// Valid in a sub-context: non-minimal here and
+					// everywhere above (minimality pruning).
+					st.OCSkippedMinimality++
+					skip = true
+				} else if lattice.AttrSet(task.ParentConst[j]).Has(a) ||
+					lattice.AttrSet(task.ParentConst[i]).Has(b) {
+					// ParentConst[j] is the parent missing b (it contains
+					// a), ParentConst[i] the parent missing a. Constancy of
+					// a side within the OC's context (or a subset)
+					// trivializes the OC in both directions (e_OC ≤ e_OFD);
+					// never minimal.
+					st.OCSkippedConstancy++
+					skip = true
+				} else if lattice.AttrSet(parentWord(task.ParentFDContexts, j)).Has(a) {
+					// The context Set\{a,b} equals a subset's, where
+					// the OC failed.
+					st.OCSkippedFD++
+					skip = true
+				}
+				if skip && !e.t.cfg.DisablePruning {
+					continue
 				}
 				if e.aborted() {
 					return
@@ -334,7 +351,7 @@ func (e *engine) examine(task *NodeTask, nr *NodeResult, start *time.Time) {
 				st.OCCandidates++
 				nr.Candidates++
 				r := e.validateOCVia(gpSet, ctx, a, b, desc)
-				if skip != nil || !r.Valid {
+				if skip || !r.Valid {
 					continue
 				}
 				oc := TaskOC{A: a, B: b, Descending: desc, Error: r.Error, Removals: r.Removals}
@@ -345,47 +362,6 @@ func (e *engine) examine(task *NodeTask, nr *NodeResult, start *time.Time) {
 			}
 		}
 	}
-}
-
-// ofdSkip returns the counter of the rule that skips the task's OFD
-// candidate on d, or nil when no rule does.
-func (task *NodeTask) ofdSkip(d int, st *TaskStats) *int {
-	switch {
-	case lattice.AttrSet(task.ConstValid).Has(d):
-		// A strict sub-context already has a valid OFD for d: any OFD here
-		// is valid but non-minimal.
-		return &st.OFDSkipped
-	case lattice.AttrSet(task.FDContexts).Has(d):
-		// The context equals a subset's, where the OFD failed.
-		return &st.OFDSkippedFD
-	}
-	return nil
-}
-
-// ocSkip returns the counter of the rule that skips the task's OC candidate
-// over the pair a < b, the set's i-th and j-th attributes (B descending when
-// desc), or nil when no rule does.
-func (task *NodeTask) ocSkip(i, j, a, b int, desc bool, numAttrs int, st *TaskStats) *int {
-	validWords := task.OCValid
-	if desc {
-		validWords = task.OCValidDesc
-	}
-	switch {
-	case lattice.PairHas(validWords, a, b, numAttrs):
-		// Valid in a sub-context: non-minimal here and everywhere above
-		// (minimality pruning).
-		return &st.OCSkippedMinimality
-	case lattice.AttrSet(task.ParentConst[j]).Has(a) || lattice.AttrSet(task.ParentConst[i]).Has(b):
-		// ParentConst[j] is the parent missing b (it contains a),
-		// ParentConst[i] the parent missing a. Constancy of a side within
-		// the OC's context (or a subset) trivializes the OC in both
-		// directions (e_OC ≤ e_OFD); never minimal.
-		return &st.OCSkippedConstancy
-	case lattice.AttrSet(parentWord(task.ParentFDContexts, j)).Has(a):
-		// The context Set\{a,b} equals a subset's, where the OC failed.
-		return &st.OCSkippedFD
-	}
-	return nil
 }
 
 // parentWord returns words[i], or 0 past the end: a task whose parents hold
@@ -402,15 +378,12 @@ func parentWord(words []uint64, i int) uint64 {
 // executor, it is the single place discovered dependencies enter a Result —
 // which is why sharded, pooled, and serial runs are byte-identical.
 //
-// It also removes from the node's live sets what its verdicts decide for
-// every superset Y (see the package comment): an attribute a with a newly
-// valid OFD, whose OFD is non-minimal in Y, and with it each pair {a, b}
-// with b outside the set, whose OC over Y∖{a, b} ⊇ Set has a constant side;
-// each newly valid OC, non-minimal in Y; and, when the set holds an exact
-// FD, each attribute and each pair outside the set, whose context in Y
-// then holds it too. ExactConst is read here, never ConstValid: an
-// approximate FD decides none of those. A node left with nothing live is
-// Dead unless pruning is disabled.
+// It also marks the node Dead when no superset has a candidate left that
+// pruning would not skip (see the package comment): the set holds an exact
+// FD, each of its attributes a has a valid OFD W: [] ↦ a with W ⊆ Set∖{a}
+// or an exact FD in Set∖{a}, and every OC candidate the node validated
+// held. Holding an exact FD is read from ExactConst, never ConstValid: an
+// approximate FD skips nothing. Pruning disabled, no node is Dead.
 func (t *traversal) applyTask(node *lattice.Node, task *NodeTask, nr *NodeResult) {
 	st := &t.res.Stats
 	st.NodesProcessed++
@@ -419,23 +392,6 @@ func (t *traversal) applyTask(node *lattice.Node, task *NodeTask, nr *NodeResult
 	node.ExactConst |= lattice.AttrSet(nr.NewExact)
 	st.OFDsFoundPerLevel[node.Level] += bits.OnesCount64(nr.NewConst)
 	set := lattice.AttrSet(task.Set)
-	outside := (lattice.AttrSet(1)<<uint(t.numAttrs) - 1).Minus(set)
-	newConst := lattice.AttrSet(nr.NewConst)
-	node.LiveAttrs = node.LiveAttrs.Minus(newConst)
-	for c := newConst; c != 0; c &= c - 1 {
-		a := c.Min()
-		node.LivePairs.RemoveBetween(a, outside)
-		if node.LivePairsDesc != nil {
-			node.LivePairsDesc.RemoveBetween(a, outside)
-		}
-	}
-	if node.ExactConst != 0 {
-		node.LiveAttrs = node.LiveAttrs.Intersect(set)
-		node.LivePairs.RemoveWithin(outside)
-		if node.LivePairsDesc != nil {
-			node.LivePairsDesc.RemoveWithin(outside)
-		}
-	}
 	for i := range nr.OFDs {
 		w := &nr.OFDs[i]
 		t.res.OFDs = append(t.res.OFDs, OFD{
@@ -452,10 +408,8 @@ func (t *traversal) applyTask(node *lattice.Node, task *NodeTask, nr *NodeResult
 		w := &nr.OCs[i]
 		if w.Descending {
 			node.OCValidDesc.Add(w.A, w.B)
-			node.LivePairsDesc.Remove(w.A, w.B)
 		} else {
 			node.OCValid.Add(w.A, w.B)
-			node.LivePairs.Remove(w.A, w.B)
 		}
 		st.OCsFoundPerLevel[node.Level]++
 		t.res.OCs = append(t.res.OCs, OC{
@@ -470,6 +424,7 @@ func (t *traversal) applyTask(node *lattice.Node, task *NodeTask, nr *NodeResult
 			RemovalRows: w.RemovalRows,
 		})
 	}
-	node.Dead = !t.cfg.DisablePruning && node.LiveAttrs == 0 && node.LivePairs.IsEmpty() &&
-		(node.LivePairsDesc == nil || node.LivePairsDesc.IsEmpty())
+	node.Dead = !t.cfg.DisablePruning && node.ExactConst != 0 &&
+		set.Minus(node.ConstValid.Union(node.FDParents)) == 0 &&
+		nr.Stats.OCCandidates == len(nr.OCs)
 }

@@ -172,73 +172,6 @@ func TestPairSetRandomizedAgainstMap(t *testing.T) {
 	}
 }
 
-// TestPairSetBulkOpsAgainstMap holds Fill, IntersectWith, RemoveBetween and
-// RemoveWithin to a map model on schemas up to 64 attributes wide, whose
-// triangular rows straddle word boundaries.
-func TestPairSetBulkOpsAgainstMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 200; iter++ {
-		numAttrs := 2 + rng.Intn(63)
-		randomSet := func() AttrSet {
-			var s AttrSet
-			for a := 0; a < numAttrs; a++ {
-				if rng.Intn(3) == 0 {
-					s = s.Add(a)
-				}
-			}
-			return s
-		}
-		p := NewPairSet(numAttrs)
-		p.Fill()
-		ref := make(map[[2]int]bool)
-		for a := 0; a < numAttrs; a++ {
-			for b := a + 1; b < numAttrs; b++ {
-				ref[[2]int{a, b}] = true
-			}
-		}
-		q := NewPairSet(numAttrs)
-		for op := 0; op < 3*numAttrs; op++ {
-			a, b := rng.Intn(numAttrs), rng.Intn(numAttrs)
-			if a != b {
-				q.Add(a, b)
-			}
-		}
-		switch iter % 3 {
-		case 0:
-			p.IntersectWith(q)
-			for k := range ref {
-				if !q.Has(k[0], k[1]) {
-					delete(ref, k)
-				}
-			}
-		case 1:
-			a, s := rng.Intn(numAttrs), randomSet()
-			p.RemoveBetween(a, s)
-			for k := range ref {
-				if (k[0] == a && s.Has(k[1])) || (k[1] == a && s.Has(k[0])) {
-					delete(ref, k)
-				}
-			}
-		case 2:
-			s := randomSet()
-			p.RemoveWithin(s)
-			for k := range ref {
-				if s.Has(k[0]) && s.Has(k[1]) {
-					delete(ref, k)
-				}
-			}
-		}
-		if p.Count() != len(ref) {
-			t.Fatalf("iter %d (%d attrs): count = %d, want %d", iter, numAttrs, p.Count(), len(ref))
-		}
-		p.ForEach(func(a, b int) {
-			if !ref[[2]int{a, b}] {
-				t.Fatalf("iter %d (%d attrs): unexpected pair {%d,%d}", iter, numAttrs, a, b)
-			}
-		})
-	}
-}
-
 func buildTestTable(t *testing.T, numAttrs, rows int, seed int64) *dataset.Table {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -18,14 +18,9 @@ import "math/bits"
 //     exact FDs whose OFD candidate minimality skipped; it never holds a
 //     wrong one, and it is upward-closed: c ∈ ExactConst of a subset puts c
 //     in every superset's.
-//   - LiveAttrs, LivePairs and LivePairsDesc: the attributes whose OFD
-//     candidate, and the pairs whose ascending or mixed-direction OC
-//     candidate, a superset could still validate. They start as the
-//     intersection of the parents' live sets, which, restricted to Set and
-//     its pairs, are exactly the node's candidates that pruning does not
-//     skip; the node's verdicts then remove what they decide for every
-//     superset. A node left with nothing live is Dead, and NextLevel builds
-//     no superset of it.
+//   - Dead: set by the traversal once no superset of Set has a candidate
+//     left that pruning would not skip; NextLevel builds no superset of a
+//     dead node.
 //
 // Nodes carry no partitions: the traversal reads context partitions from a
 // partition.Memo keyed by the same attribute-set bitmask.
@@ -48,15 +43,8 @@ type Node struct {
 	// ExactConst: the OFD candidate (Set\{c}): [] ↦ c reads a context that
 	// equals one of its own subsets.
 	FDParents AttrSet
-	// LiveAttrs marks the attrs whose OFD candidate a superset could still
-	// validate; LivePairs and LivePairsDesc (the latter allocated only when
-	// bidirectional discovery is enabled) mark the pairs whose OC candidate,
-	// ascending or mixed-direction, a superset could still validate.
-	LiveAttrs     AttrSet
-	LivePairs     *PairSet
-	LivePairsDesc *PairSet
-	// Dead marks a node with nothing live: no superset has a candidate left
-	// to validate, so none is built. A traversal that never sets it visits
+	// Dead marks a node no superset of which has a candidate left to
+	// validate, so none is built. A traversal that never sets it visits
 	// every set.
 	Dead bool
 }

@@ -61,59 +61,6 @@ func (p *PairSet) UnionWith(q *PairSet) {
 	}
 }
 
-// IntersectWith removes from p every pair q lacks.
-func (p *PairSet) IntersectWith(q *PairSet) {
-	for i := range p.bits {
-		p.bits[i] &= q.bits[i]
-	}
-}
-
-// Fill inserts every pair of the schema.
-func (p *PairSet) Fill() {
-	n := NumPairs(p.numAttrs)
-	for i := range p.bits {
-		p.bits[i] = ^uint64(0)
-	}
-	if r := n & 63; r != 0 {
-		p.bits[len(p.bits)-1] = 1<<uint(r) - 1
-	}
-}
-
-// RemoveBetween deletes every pair {a, b} with b ∈ s.
-func (p *PairSet) RemoveBetween(a int, s AttrSet) {
-	p.removeRow(a, s)
-	for t := s & (1<<uint(a) - 1); t != 0; t &= t - 1 {
-		p.Remove(a, bits.TrailingZeros64(uint64(t)))
-	}
-}
-
-// RemoveWithin deletes every pair with both sides in s.
-func (p *PairSet) RemoveWithin(s AttrSet) {
-	for t := s; t != 0; t &= t - 1 {
-		p.removeRow(bits.TrailingZeros64(uint64(t)), s)
-	}
-}
-
-// removeRow deletes the pairs {a, b} with b ∈ s and b > a. They are row a
-// of the triangular layout, one run of at most 63 bits, so the row's mask
-// clears them in one or two words.
-func (p *PairSet) removeRow(a int, s AttrSet) {
-	n := p.numAttrs - a - 1
-	if n <= 0 {
-		return
-	}
-	m := uint64(s) >> uint(a+1) & (1<<uint(n) - 1)
-	if m == 0 {
-		return
-	}
-	i := PairIndex(a, a+1, p.numAttrs)
-	w, off := i>>6, uint(i&63)
-	p.bits[w] &^= m << off
-	if off+uint(n) > 64 {
-		p.bits[w+1] &^= m >> (64 - off)
-	}
-}
-
 // Words exposes the underlying bit words (triangular pair indexes packed 64
 // per word). The slice is shared, not copied: it is the zero-cost
 // serialization surface for shipping validity state to remote shard workers,
